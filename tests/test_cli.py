@@ -238,3 +238,21 @@ def test_solve_jobs_flag_reproducible(fix_e2_path, tmp_path):
     assert main(["solve", fix_e2_path, "--out", str(a)]) == 0
     assert main(["solve", fix_e2_path, "--jobs", "2", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("fixture", ["fix_e1", "fix_e2", "gen_b4_v2_c2_s7"])
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["solve"], "solve"),
+        (["solve", "--jobs", "2"], "solve"),
+        (["oracle"], "oracle"),
+    ],
+    ids=["solve", "solve-jobs2", "oracle"],
+)
+def test_fixture_documents_match_golden_bytes(fixture, argv, golden, tmp_path):
+    out = tmp_path / "out.json"
+    instance = data_path(f"{fixture}.json")
+    assert main([argv[0], instance, *argv[1:], "--out", str(out)]) == 0
+    with open(data_path(f"{fixture}.{golden}.json"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
