@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Mapping
+from typing import Callable
 
 from .documents import (
     DocumentError,
@@ -45,7 +45,7 @@ from .transfers import (
     prices_from_transfers,
     solve_group_transfers,
 )
-from .verify import CertificateReport, certify
+from .verify import certify
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -72,14 +72,23 @@ def _load_valid_instance(path: str) -> Market:
     return market
 
 
-def _finish_solution(
-    market: Market,
-    alloc: Allocation,
-    welfare: Money,
-    metadata: dict,
-    run_checks: bool,
-) -> tuple[SolutionBundle, CertificateReport | None]:
-    """Transfers, prices and (optionally) certification for an allocation."""
+def _solve_and_emit(
+    args: argparse.Namespace,
+    solver: str,
+    solve: Callable[[Market], tuple[Allocation, Money, int, int]],
+    run_checks: bool = True,
+    timings: bool = False,
+) -> int:
+    """Load, solve, price, certify and emit one solution document.
+
+    ``solve`` returns the allocation, its welfare and the counts of
+    partitions (or allocations) in the search space and evaluated.
+    """
+    market = _load_valid_instance(args.instance)
+    started = time.perf_counter()
+    alloc, welfare, count, evaluated = solve(market)
+    solved = time.perf_counter()
+
     gp = group_partition(market, alloc)
     gt = solve_group_transfers(market, alloc)
     matrix = fair_buyer_transfers(market, alloc, gp, gt)
@@ -92,6 +101,20 @@ def _finish_solution(
     report = None
     if run_checks:
         report = certify(market, alloc, prices, gt, matrix, gp=gp)
+    metadata = {
+        "solver": solver,
+        "partition_count": count,
+        "partitions_evaluated": evaluated,
+        "seed": None,
+        "timings": None,
+    }
+    if timings:
+        done = time.perf_counter()
+        metadata["timings"] = {
+            "solve_s": round(solved - started, 6),
+            "transfers_s": round(done - solved, 6),
+            "total_s": round(done - started, 6),
+        }
     bundle = SolutionBundle(
         social_welfare=welfare,
         allocation=alloc,
@@ -103,94 +126,44 @@ def _finish_solution(
         certificate=report.to_jsonable() if report is not None else None,
         metadata=metadata,
     )
-    return bundle, report
+
+    _emit(to_canonical_json(solution_to_dict(bundle)), args.out)
+    if report is not None and not report.all_passed:
+        print("error: certificate checks failed", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    return EXIT_OK
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        market = _load_valid_instance(args.instance)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
-    timings: dict[str, float] = {}
-    started = time.perf_counter()
-    try:
+    def solve(market: Market) -> tuple[Allocation, Money, int, int]:
         result = solve_swm(
             market, max_partitions=args.max_partitions, jobs=args.jobs
         )
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    timings["solve_s"] = round(time.perf_counter() - started, 6)
-
-    metadata = {
-        "solver": "partition-flow",
-        "partition_count": result.partitions_total,
-        "partitions_evaluated": result.partitions_evaluated,
-        "seed": None,
-        "timings": None,
-    }
-    stage = time.perf_counter()
-    try:
-        bundle, report = _finish_solution(
-            market,
+        return (
             result.allocation,
             result.social_welfare,
-            metadata,
-            run_checks=not args.no_certify,
+            result.partitions_total,
+            result.partitions_evaluated,
         )
-    except Unstabilizable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSTABILIZABLE
-    timings["transfers_s"] = round(time.perf_counter() - stage, 6)
-    timings["total_s"] = round(time.perf_counter() - started, 6)
-    if args.timings:
-        metadata["timings"] = timings
 
-    _emit(to_canonical_json(solution_to_dict(bundle)), args.out)
-    if report is not None and not report.all_passed:
-        print("error: certificate checks failed", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return _solve_and_emit(
+        args,
+        "partition-flow",
+        solve,
+        run_checks=not args.no_certify,
+        timings=args.timings,
+    )
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    try:
-        market = _load_valid_instance(args.instance)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
-    try:
+    def solve(market: Market) -> tuple[Allocation, Money, int, int]:
         alloc, welfare = brute_force_swm(
             market, max_allocations=args.max_allocations
         )
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        count = len(market.vendor_tuples) ** len(market.buyers)
+        return alloc, welfare, count, count
 
-    count = len(market.vendor_tuples) ** len(market.buyers)
-    metadata = {
-        "solver": "exhaustive",
-        "partition_count": count,
-        "partitions_evaluated": count,
-        "seed": None,
-        "timings": None,
-    }
-    try:
-        bundle, report = _finish_solution(
-            market, alloc, welfare, metadata, run_checks=True
-        )
-    except Unstabilizable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSTABILIZABLE
-
-    _emit(to_canonical_json(solution_to_dict(bundle)), args.out)
-    if report is not None and not report.all_passed:
-        print("error: certificate checks failed", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return _solve_and_emit(args, "exhaustive", solve)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -203,26 +176,19 @@ def cmd_gen(args: argparse.Namespace) -> int:
             max_value=args.max_value,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        raise DocumentError(str(exc)) from exc
     _emit(to_canonical_json(instance_to_dict(market)), args.out)
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        market = _load_valid_instance(args.instance)
-        solution = load_solution(args.solution)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
+    market = _load_valid_instance(args.instance)
+    solution = load_solution(args.solution)
     buyer_ids = set(market.buyer_ids)
     if set(solution.allocation.choice) != buyer_ids or set(
         solution.deltas
     ) != buyer_ids:
-        print("error: solution buyer set does not match the instance", file=sys.stderr)
-        return EXIT_PARSE
+        raise DocumentError("solution buyer set does not match the instance")
 
     try:
         # Market prices are re-derived from the instance; only the deltas
@@ -240,8 +206,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         prices = PriceVector(entries=entries)
         gp = group_partition(market, solution.allocation)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        raise DocumentError(str(exc)) from exc
 
     report = certify(
         market,
@@ -260,11 +225,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_partitions(args: argparse.Namespace) -> int:
-    try:
-        market = _load_valid_instance(args.instance)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    market = _load_valid_instance(args.instance)
     n = len(market.buyers)
     cells = len(market.vendor_tuples)
     print(f"buyers={n} cells={cells} partitions={partition_count(n, cells)}")
@@ -331,9 +292,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DocumentError as exc:
+        return _fail(exc, EXIT_PARSE)
+    except BudgetExceeded as exc:
+        return _fail(exc, EXIT_BUDGET)
+    except Unstabilizable as exc:
+        return _fail(exc, EXIT_UNSTABILIZABLE)
 
 
 if __name__ == "__main__":

@@ -91,9 +91,6 @@ class Flow:
             if edge.tag is not None:
                 yield edge.tag, f
 
-    def by_tag(self) -> dict[Any, int]:
-        return dict(self.tagged())
-
 
 class _Residual:
     """Adjacency-list residual graph; twin edge of 2i is 2i+1."""
@@ -162,8 +159,9 @@ def min_cost_max_flow(net: FlowNetwork) -> Flow:
     """Minimum-cost maximum integral flow via successive shortest paths.
 
     Negative edge costs are handled with node potentials, initialized by a
-    label-correcting pass; the networks built in this package are acyclic,
-    for which that pass settles in a single sweep.
+    FIFO label-correcting pass.  Successive shortest paths needs that pass
+    to settle, so a network in which the source reaches a negative-cost
+    cycle raises ``ValueError``.
     """
     res = _Residual(net)
     n = net.node_count
@@ -171,11 +169,14 @@ def min_cost_max_flow(net: FlowNetwork) -> Flow:
 
     # Label-correcting initialization of potentials (shortest distances
     # from the source over positive-capacity edges; INF when unreachable).
+    # Without a negative cycle every node is queued at most n - 1 times.
     pot: list[float] = [INF] * n
     pot[source] = 0
     in_queue = [False] * n
+    queued = [0] * n
     queue = [source]
     in_queue[source] = True
+    queued[source] = 1
     qi = 0
     while qi < len(queue):
         u = queue[qi]
@@ -190,6 +191,11 @@ def min_cost_max_flow(net: FlowNetwork) -> Flow:
             if nd < pot[v]:
                 pot[v] = nd
                 if not in_queue[v]:
+                    queued[v] += 1
+                    if queued[v] >= n:
+                        raise ValueError(
+                            f"negative-cost cycle through node {v}"
+                        )
                     queue.append(v)
                     in_queue[v] = True
 

@@ -293,22 +293,6 @@ def market_price_of_choice(
     return sum(market.vendor(vid).base_prices[k] for k, vid in enumerate(choice))
 
 
-def vendor_price_for_items(
-    market: Market,
-    alloc: Allocation,
-    vendor_id: VendorId,
-    items: frozenset[int],
-) -> Money:
-    """Price vendor ``vendor_id`` charges for the item-type set ``items``:
-    the discounted bundle price when ``items`` covers every type and the
-    vendor's discount is active, otherwise base prices summed (0 if empty)."""
-    trig = triggered(market, alloc)
-    vendor = market.vendor(vendor_id)
-    if items == frozenset(range(market.c)) and trig.get(vendor_id, 0) > 0:
-        return vendor.tiers[trig[vendor_id] - 1].bundle_price
-    return sum(vendor.base_prices[k] for k in items)
-
-
 def buyer_market_price(market: Market, alloc: Allocation, buyer_id: BuyerId) -> Money:
     trig = triggered(market, alloc)
     return market_price_of_choice(market, _choice_of(market, alloc, buyer_id), trig)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
-from .flow import FlowNetwork, NetworkBuilder, min_cost_max_flow
+from .flow import Edge, FlowNetwork, NetworkBuilder, min_cost_max_flow
 from .model import (
     Allocation,
     Market,
@@ -78,55 +78,65 @@ def enumerate_partitions(n_buyers: int, cells: int) -> Iterator[tuple[int, ...]]
         counts[j + 1] = carried
 
 
-def composition_at_index(n_buyers: int, cells: int, index: int) -> tuple[int, ...]:
-    """The ``index``-th composition in ``enumerate_partitions`` order."""
-    if not 0 <= index < partition_count(n_buyers, cells):
-        raise IndexError(index)
-    out: list[int] = []
-    remaining = n_buyers
-    for cell in range(cells - 1):
-        tail = cells - cell - 1
-        for head in range(remaining, -1, -1):
-            block = math.comb(remaining - head + tail - 1, tail - 1)
-            if index < block:
-                out.append(head)
-                remaining -= head
-                break
-            index -= block
-    out.append(remaining)
-    return tuple(out)
-
-
 def _partition_of(market: Market, counts: tuple[int, ...]) -> Partition:
     return Partition(counts=dict(zip(market.vendor_tuples, counts)))
 
 
-def assignment_network(market: Market, partition: Partition) -> FlowNetwork:
+class _AssignmentLayout:
     """Bipartite network routing each buyer to a vendor-tuple slot.
 
-    Source->buyer edges have unit capacity; buyer->tuple edges carry cost
-    equal to the negated valuation; tuple->sink capacities are the
-    partition's per-tuple counts.
+    Source->buyer edges have unit capacity; buyer->tuple edges, tagged
+    ``(buyer id, choice)``, carry cost equal to the negated valuation.
+    Both are built once per market; a partition only appends its
+    tuple->sink edges, whose capacities are the per-tuple counts.
     """
-    builder = NetworkBuilder()
-    source = builder.add_node()
-    buyer_nodes = {b.id: builder.add_node() for b in market.buyers}
-    tuple_nodes = {t: builder.add_node() for t in market.vendor_tuples}
-    sink = builder.add_node()
-    for buyer in market.buyers:
-        builder.add_edge(source, buyer_nodes[buyer.id], 1, 0)
-    for buyer in market.buyers:
-        for choice in market.vendor_tuples:
-            builder.add_edge(
-                buyer_nodes[buyer.id],
-                tuple_nodes[choice],
-                1,
-                -buyer.valuation(choice),
-                tag=(buyer.id, choice),
+
+    def __init__(self, market: Market) -> None:
+        self.market = market
+        builder = NetworkBuilder()
+        self.source = builder.add_node()
+        buyer_nodes = [builder.add_node() for _ in market.buyers]
+        self.tuple_nodes = [builder.add_node() for _ in market.vendor_tuples]
+        self.sink = builder.add_node()
+        for node in buyer_nodes:
+            builder.add_edge(self.source, node, 1, 0)
+        for buyer, node in zip(market.buyers, buyer_nodes):
+            for choice, slot in zip(market.vendor_tuples, self.tuple_nodes):
+                builder.add_edge(
+                    node, slot, 1, -buyer.valuation(choice), tag=(buyer.id, choice)
+                )
+        self.fixed = builder.build(self.source, self.sink)
+
+    def network(self, counts: tuple[int, ...]) -> FlowNetwork:
+        sink_edges = tuple(
+            Edge(slot, self.sink, n) for slot, n in zip(self.tuple_nodes, counts)
+        )
+        return FlowNetwork(
+            node_count=self.fixed.node_count,
+            source=self.source,
+            sink=self.sink,
+            edges=self.fixed.edges + sink_edges,
+        )
+
+    def solve(self, counts: tuple[int, ...]) -> tuple[dict, Money]:
+        """Assignment and total valuation for one partition's counts."""
+        flow = min_cost_max_flow(self.network(counts))
+        n_buyers = len(self.market.buyers)
+        if flow.value != n_buyers:
+            raise RuntimeError(
+                f"assignment flow routed {flow.value} of {n_buyers} buyers"
             )
-    for choice in market.vendor_tuples:
-        builder.add_edge(tuple_nodes[choice], sink, partition.count(choice), 0)
-    return builder.build(source, sink)
+        choice = {tag[0]: tag[1] for tag, f in flow.tagged() if f > 0}
+        return choice, -flow.cost
+
+
+def _counts_of(market: Market, partition: Partition) -> tuple[int, ...]:
+    return tuple(partition.count(choice) for choice in market.vendor_tuples)
+
+
+def assignment_network(market: Market, partition: Partition) -> FlowNetwork:
+    """The assignment network of ``partition``; see ``_AssignmentLayout``."""
+    return _AssignmentLayout(market).network(_counts_of(market, partition))
 
 
 def _demand_of_partition(
@@ -159,15 +169,8 @@ def best_allocation_for_partition(
     market: Market, partition: Partition
 ) -> tuple[Allocation, Money]:
     """Welfare-maximal allocation among those matching the partition."""
-    flow = min_cost_max_flow(assignment_network(market, partition))
-    n_buyers = len(market.buyers)
-    if flow.value != n_buyers:
-        raise RuntimeError(
-            f"assignment flow routed {flow.value} of {n_buyers} buyers"
-        )
-    choice = {tag[0]: tag[1] for tag, f in flow.tagged() if f > 0}
-    welfare = -flow.cost - total_price(market, partition)
-    return Allocation(choice=choice), welfare
+    choice, value = _AssignmentLayout(market).solve(_counts_of(market, partition))
+    return Allocation(choice=choice), value - total_price(market, partition)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,57 +180,6 @@ class SwmResult:
     partition: Partition
     partitions_total: int
     partitions_evaluated: int
-
-
-class _PartitionSolver:
-    """Per-market assignment solver reusing one network layout.
-
-    Only the tuple->sink capacities change between partitions, so the node
-    and edge layout (and therefore the deterministic augmentation order)
-    is built once and matches ``assignment_network``.
-    """
-
-    def __init__(self, market: Market) -> None:
-        self.market = market
-        self.cells = market.vendor_tuples
-        n = len(market.buyers)
-        k = len(self.cells)
-        self.n_buyers = n
-        self.source = 0
-        self.sink = 1 + n + k
-        self.values = [
-            [buyer.valuation(choice) for choice in self.cells]
-            for buyer in market.buyers
-        ]
-
-    def solve(self, counts: tuple[int, ...]) -> tuple[dict, Money]:
-        """Assignment and total valuation for one partition's counts."""
-        market = self.market
-        n, k = self.n_buyers, len(self.cells)
-        builder = NetworkBuilder()
-        for _ in range(2 + n + k):
-            builder.add_node()
-        for i in range(n):
-            builder.add_edge(self.source, 1 + i, 1, 0)
-        for i in range(n):
-            row = self.values[i]
-            for j in range(k):
-                builder.add_edge(1 + i, 1 + n + j, 1, -row[j])
-        for j in range(k):
-            builder.add_edge(1 + n + j, self.sink, counts[j], 0)
-        flow = min_cost_max_flow(builder.build(self.source, self.sink))
-        if flow.value != n:
-            raise RuntimeError(
-                f"assignment flow routed {flow.value} of {n} buyers"
-            )
-        choice: dict = {}
-        base = n  # buyer->tuple edges start after the n source edges
-        for i in range(n):
-            for j in range(k):
-                if flow.edge_flows[base + i * k + j] > 0:
-                    choice[market.buyers[i].id] = self.cells[j]
-                    break
-        return choice, -flow.cost
 
 
 def solve_swm(
@@ -251,13 +203,7 @@ def solve_swm(
     if jobs > 1 and total > 1:
         best = _solve_parallel(market, total, jobs)
     else:
-        solver = _PartitionSolver(market)
-        best = None
-        for i, counts in enumerate(enumerate_partitions(n, cells)):
-            best = _consider(solver, counts, best)
-            if progress is not None and (i + 1) % 1000 == 0:
-                progress(i + 1, total)
-    assert best is not None
+        best = _solve_slice(market, 0, total, progress)
     welfare, counts, choice = best
     partition = _partition_of(market, counts)
     return SwmResult(
@@ -269,37 +215,28 @@ def solve_swm(
     )
 
 
-def _consider(solver, counts, best):
-    choice, value = solver.solve(counts)
-    welfare = value - total_price(solver.market, _partition_of(solver.market, counts))
-    # Enumeration order is lexicographically descending, so replacing the
-    # incumbent on equal welfare leaves the lexicographically smallest
-    # partition as the winner.
-    if best is None or welfare >= best[0]:
-        return (welfare, counts, choice)
-    return best
-
-
-def _solve_slice(args) -> tuple:
-    market, lo, hi = args
-    n = len(market.buyers)
-    cells = len(market.vendor_tuples)
-    solver = _PartitionSolver(market)
+def _solve_slice(
+    market: Market,
+    lo: int,
+    hi: int,
+    progress: Callable[[int, int], None] | None = None,
+) -> tuple:
+    """Best (welfare, counts, choice) over compositions ``lo`` to ``hi - 1``."""
+    layout = _AssignmentLayout(market)
+    compositions = enumerate_partitions(
+        len(market.buyers), len(market.vendor_tuples)
+    )
     best = None
-    current = list(composition_at_index(n, cells, lo))
-    for _ in range(lo, hi):
-        best = _consider(solver, tuple(current), best)
-        j = -1
-        for k in range(cells - 2, -1, -1):
-            if current[k] > 0:
-                j = k
-                break
-        if j < 0:
-            break
-        carried = current[cells - 1] + 1
-        current[j] -= 1
-        current[cells - 1] = 0
-        current[j + 1] = carried
+    for done, counts in enumerate(itertools.islice(compositions, lo, hi), 1):
+        choice, value = layout.solve(counts)
+        welfare = value - total_price(market, _partition_of(market, counts))
+        # Enumeration order is lexicographically descending, so replacing
+        # the incumbent on equal welfare leaves the lexicographically
+        # smallest partition as the winner.
+        if best is None or welfare >= best[0]:
+            best = (welfare, counts, choice)
+        if progress is not None and done % 1000 == 0:
+            progress(done, hi - lo)
     return best
 
 
@@ -308,19 +245,14 @@ def _solve_parallel(market: Market, total: int, jobs: int):
 
     jobs = min(jobs, total)
     bounds = [total * i // jobs for i in range(jobs + 1)]
-    slices = [
-        (market, bounds[i], bounds[i + 1])
-        for i in range(jobs)
-        if bounds[i] < bounds[i + 1]
-    ]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_solve_slice, slices))
+        results = list(
+            pool.map(_solve_slice, [market] * jobs, bounds[:-1], bounds[1:])
+        )
     best = None
     # Merge in slice order: later slices hold lexicographically smaller
     # partitions, so >= keeps the same tie rule as the sequential path.
     for candidate in results:
-        if candidate is None:
-            continue
         if best is None or candidate[0] >= best[0]:
             best = candidate
     return best

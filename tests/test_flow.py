@@ -257,3 +257,18 @@ def test_dump_format():
     builder.add_edge(a, b, 3, -2, tag=("x", "y"))
     net = builder.build(a, b)
     assert net.dump() == "0 1 3 -2 ('x', 'y')"
+
+
+def test_min_cost_rejects_reachable_negative_cycle():
+    # 1 -> 2 -> 1 costs -2 and the source reaches it
+    net = net_from_edges(
+        4, 0, 3, [(0, 1, 1, 0), (1, 2, 1, -1), (2, 1, 1, -1), (2, 3, 1, 0)]
+    )
+    with pytest.raises(ValueError, match="negative-cost cycle"):
+        min_cost_max_flow(net)
+    # the same cycle cut off from the source leaves the flow well defined
+    net = net_from_edges(
+        4, 0, 3, [(0, 3, 2, 5), (1, 2, 1, -1), (2, 1, 1, -1)]
+    )
+    flow = min_cost_max_flow(net)
+    assert (flow.value, flow.cost) == (2, 10)

@@ -22,7 +22,6 @@ from gbb.model import (
     triggered,
     utility,
     validate_market,
-    vendor_price_for_items,
 )
 
 MU_A = Allocation({"b1": ("s1", "s1"), "b2": ("s1", "s1")})
@@ -256,33 +255,6 @@ def test_group_partition_no_discount_no_negative_groups(fix_e1):
 def _random_allocation(rng, market):
     cells = market.vendor_tuples
     return Allocation({b.id: rng.choice(cells) for b in market.buyers})
-
-
-def test_price_decomposes_over_vendors():
-    rng = random.Random(11)
-    for trial in range(25):
-        market = generate_instance(
-            buyers=rng.randint(1, 4),
-            vendors=rng.randint(1, 2),
-            items=rng.randint(1, 2),
-            seed=trial,
-            max_value=15,
-        )
-        alloc = _random_allocation(rng, market)
-        for buyer in market.buyers:
-            choice = alloc.choice[buyer.id]
-            total = sum(
-                vendor_price_for_items(
-                    market,
-                    alloc,
-                    vendor.id,
-                    frozenset(
-                        k for k, vid in enumerate(choice) if vid == vendor.id
-                    ),
-                )
-                for vendor in market.vendors
-            )
-            assert total == buyer_market_price(market, alloc, buyer.id)
 
 
 def test_nonbundle_buyers_never_have_positive_surplus():

@@ -21,7 +21,6 @@ from gbb.swm import (
     assignment_network,
     best_allocation_for_partition,
     brute_force_swm,
-    composition_at_index,
     enumerate_partitions,
     partition_count,
     solve_swm,
@@ -49,15 +48,6 @@ def test_enumeration_matches_binomial_grid():
             produced = list(enumerate_partitions(n, cells))
             assert len(produced) == partition_count(n, cells)
             assert len(set(produced)) == len(produced)
-
-
-def test_composition_at_index_agrees_with_iterator():
-    for n, cells in [(3, 4), (5, 3), (0, 2), (4, 5)]:
-        listed = list(enumerate_partitions(n, cells))
-        for i, comp in enumerate(listed):
-            assert composition_at_index(n, cells, i) == comp
-    with pytest.raises(IndexError):
-        composition_at_index(2, 2, 3)
 
 
 def test_assignment_network_shape(fix_e1):
@@ -174,20 +164,6 @@ def test_no_partition_beats_the_solver(fix_e2):
     assert hit >= 1
 
 
-def test_internal_solver_matches_public_constructor(fix_e2):
-    # the solver's reusable fast path must agree with the per-partition
-    # network constructor on every partition, ties included
-    from gbb.swm import _PartitionSolver, _partition_of
-
-    solver = _PartitionSolver(fix_e2)
-    for counts in enumerate_partitions(3, 9):
-        part = _partition_of(fix_e2, counts)
-        public_alloc, public_welfare = best_allocation_for_partition(fix_e2, part)
-        choice, value = solver.solve(counts)
-        assert choice == dict(public_alloc.choice)
-        assert value - total_price(fix_e2, part) == public_welfare
-
-
 def test_brute_force_fixtures(fix_e1, fix_e2):
     assert brute_force_swm(fix_e1)[1] == 6
     assert brute_force_swm(fix_e2)[1] == 9
@@ -261,15 +237,18 @@ def test_equal_welfare_ties_pick_lexicographically_smallest_partition():
         vendors=[Vendor("s1", (5,)), Vendor("s2", (5,))],
         buyers=[Buyer("b1", {("s1",): 5, ("s2",): 5})],
     )
-    res = solve_swm(market)
-    assert res.social_welfare == 0
-    # cells sort as (null), (s1), (s2); counts (0, 0, 1) is the smallest
-    assert res.partition.counts == {
-        (NULL_VENDOR,): 0,
-        ("s1",): 0,
-        ("s2",): 1,
-    }
-    assert res.allocation.choice == {"b1": ("s2",)}
+    # three partitions, all of welfare 0: at jobs=3 each sits in its own
+    # slice, so the merge across slices must keep the tie rule too
+    for jobs in (1, 2, 3):
+        res = solve_swm(market, jobs=jobs)
+        assert res.social_welfare == 0
+        # cells sort as (null), (s1), (s2); counts (0, 0, 1) is the smallest
+        assert res.partition.counts == {
+            (NULL_VENDOR,): 0,
+            ("s1",): 0,
+            ("s2",): 1,
+        }
+        assert res.allocation.choice == {"b1": ("s2",)}
 
 
 def test_demand_vector_components_sum_to_buyer_count():
