@@ -12,8 +12,6 @@ import heapq
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-INF = float("inf")
-
 
 @dataclass(frozen=True)
 class Edge:
@@ -167,10 +165,21 @@ def min_cost_max_flow(net: FlowNetwork) -> Flow:
     n = net.node_count
     source, sink = net.source, net.sink
 
+    # ``unreachable`` is an integer above every label a reachable node can
+    # get.  With C the largest |cost| and no negative cycle, a potential is
+    # a shortest-path distance over at most n - 1 residual edges, so
+    # |potential| <= (n - 1)C; a reduced distance is a distance minus a
+    # potential, so it lies in [0, 2(n - 1)C]; a Dijkstra candidate is a
+    # distance plus one edge minus a potential, at most (2n - 1)C, and a
+    # first label in the label-correcting pass is at most nC.  A node that
+    # pass leaves unlabelled stays unreachable: augmenting only adds
+    # residual edges between nodes the source already reaches.
+    unreachable = 2 * n * max([1] + [abs(edge.cost) for edge in net.edges]) + 1
+
     # Label-correcting initialization of potentials (shortest distances
-    # from the source over positive-capacity edges; INF when unreachable).
-    # Without a negative cycle every node is queued at most n - 1 times.
-    pot: list[float] = [INF] * n
+    # from the source over positive-capacity edges).  Without a negative
+    # cycle every node is queued at most n - 1 times.
+    pot: list[int] = [unreachable] * n
     pot[source] = 0
     in_queue = [False] * n
     queued = [0] * n
@@ -200,11 +209,11 @@ def min_cost_max_flow(net: FlowNetwork) -> Flow:
                     in_queue[v] = True
 
     value = 0
-    while pot[sink] < INF:
-        dist: list[float] = [INF] * n
+    while pot[sink] < unreachable:
+        dist: list[int] = [unreachable] * n
         dist[source] = 0
         parent_edge = [-1] * n
-        heap: list[tuple[float, int]] = [(0, source)]
+        heap: list[tuple[int, int]] = [(0, source)]
         while heap:
             d, u = heapq.heappop(heap)
             if d > dist[u]:
@@ -213,17 +222,17 @@ def min_cost_max_flow(net: FlowNetwork) -> Flow:
                 if res.cap[eid] <= 0:
                     continue
                 v = res.head[eid]
-                if pot[v] == INF:
+                if pot[v] == unreachable:
                     continue
                 nd = d + res.cost[eid] + pot[u] - pot[v]
                 if nd < dist[v]:
                     dist[v] = nd
                     parent_edge[v] = eid
                     heapq.heappush(heap, (nd, v))
-        if dist[sink] == INF:
+        if dist[sink] == unreachable:
             break
         for v in range(n):
-            if dist[v] < INF:
+            if dist[v] < unreachable:
                 pot[v] += dist[v]
         bottleneck = None
         v = sink

@@ -3,8 +3,10 @@
 The solver conditions on a *partition*: the number of buyers assigned to
 each vendor tuple.  For a fixed partition the welfare-maximal assignment
 is a min-cost max-flow on a small bipartite network, and the outer loop
-enumerates every feasible partition.  A brute-force enumerator over whole
-allocations serves as the independent oracle at desk scale.
+enumerates every feasible partition, solving that flow only where a cheap
+upper bound says the partition could match or beat the best found so far.
+A brute-force enumerator over whole allocations serves as the independent
+oracle at desk scale.
 """
 
 from __future__ import annotations
@@ -89,10 +91,15 @@ class _AssignmentLayout:
     ``(buyer id, choice)``, carry cost equal to the negated valuation.
     Both are built once per market; a partition only appends its
     tuple->sink edges, whose capacities are the per-tuple counts.
+    The same valuations back ``upper_bound``.
     """
 
     def __init__(self, market: Market) -> None:
         self.market = market
+        values = [
+            [buyer.valuation(choice) for choice in market.vendor_tuples]
+            for buyer in market.buyers
+        ]
         builder = NetworkBuilder()
         self.source = builder.add_node()
         buyer_nodes = [builder.add_node() for _ in market.buyers]
@@ -100,12 +107,42 @@ class _AssignmentLayout:
         self.sink = builder.add_node()
         for node in buyer_nodes:
             builder.add_edge(self.source, node, 1, 0)
-        for buyer, node in zip(market.buyers, buyer_nodes):
-            for choice, slot in zip(market.vendor_tuples, self.tuple_nodes):
-                builder.add_edge(
-                    node, slot, 1, -buyer.valuation(choice), tag=(buyer.id, choice)
-                )
+        for buyer, node, row in zip(market.buyers, buyer_nodes, values):
+            for choice, slot, value in zip(
+                market.vendor_tuples, self.tuple_nodes, row
+            ):
+                builder.add_edge(node, slot, 1, -value, tag=(buyer.id, choice))
         self.fixed = builder.build(self.source, self.sink)
+        # Per buyer, (cell, value) pairs from best to worst cell; per cell j,
+        # top[j][k] is the sum of the k largest values in column j.
+        self.ranked = [sorted(enumerate(row), key=lambda jv: -jv[1]) for row in values]
+        self.top = [
+            list(
+                itertools.accumulate(
+                    sorted((row[j] for row in values), reverse=True), initial=0
+                )
+            )
+            for j in range(len(self.tuple_nodes))
+        ]
+
+    def upper_bound(self, counts: tuple[int, ...], floor: Money) -> Money:
+        """A bound on the total valuation of any assignment matching counts.
+
+        It is the smaller of two relaxations: every cell's ``n_j`` slots hold
+        at most its ``n_j`` highest values (O(cells)), and every buyer gets at
+        most its best cell with ``n_j > 0`` (O(buyers)).  The second is only
+        computed when the first is not already below ``floor``.
+        """
+        bound = sum(sums[n] for sums, n in zip(self.top, counts))
+        if bound < floor:
+            return bound
+        best_open = 0
+        for ranked in self.ranked:
+            for j, value in ranked:
+                if counts[j]:
+                    best_open += value
+                    break
+        return min(bound, best_open)
 
     def network(self, counts: tuple[int, ...]) -> FlowNetwork:
         sink_edges = tuple(
@@ -180,6 +217,7 @@ class SwmResult:
     partition: Partition
     partitions_total: int
     partitions_evaluated: int
+    flows_solved: int
 
 
 def solve_swm(
@@ -190,9 +228,10 @@ def solve_swm(
 ) -> SwmResult:
     """Exact welfare maximization by enumerating every feasible partition.
 
-    Equal-welfare ties resolve to the lexicographically smallest partition;
-    the per-partition assignment is deterministic, so results are
-    reproducible run to run.
+    Every partition is priced; only those whose welfare upper bound reaches
+    the incumbent get a min-cost flow.  Equal-welfare ties resolve to the
+    lexicographically smallest partition; the per-partition assignment is
+    deterministic, so results are reproducible run to run.
     """
     n = len(market.buyers)
     cells = len(market.vendor_tuples)
@@ -201,9 +240,9 @@ def solve_swm(
         raise BudgetExceeded(total, max_partitions)
 
     if jobs > 1 and total > 1:
-        best = _solve_parallel(market, total, jobs)
+        best, flows = _solve_parallel(market, total, jobs)
     else:
-        best = _solve_slice(market, 0, total, progress)
+        best, flows = _solve_slice(market, 0, total, progress)
     welfare, counts, choice = best
     partition = _partition_of(market, counts)
     return SwmResult(
@@ -212,6 +251,7 @@ def solve_swm(
         partition=partition,
         partitions_total=total,
         partitions_evaluated=total,
+        flows_solved=flows,
     )
 
 
@@ -221,23 +261,33 @@ def _solve_slice(
     hi: int,
     progress: Callable[[int, int], None] | None = None,
 ) -> tuple:
-    """Best (welfare, counts, choice) over compositions ``lo`` to ``hi - 1``."""
+    """Best (welfare, counts, choice) over compositions ``lo`` to ``hi - 1``
+    and the number of min-cost flows solved on the way.
+    """
     layout = _AssignmentLayout(market)
     compositions = enumerate_partitions(
         len(market.buyers), len(market.vendor_tuples)
     )
     best = None
+    flows = 0
     for done, counts in enumerate(itertools.islice(compositions, lo, hi), 1):
-        choice, value = layout.solve(counts)
-        welfare = value - total_price(market, _partition_of(market, counts))
-        # Enumeration order is lexicographically descending, so replacing
-        # the incumbent on equal welfare leaves the lexicographically
-        # smallest partition as the winner.
-        if best is None or welfare >= best[0]:
-            best = (welfare, counts, choice)
+        price = total_price(market, _partition_of(market, counts))
+        # Beating the incumbent needs an assignment worth ``needed``; the
+        # flow is skipped only when the bound is strictly below it, so an
+        # equal-welfare partition still reaches the tie rule below.
+        needed = None if best is None else best[0] + price
+        if needed is None or layout.upper_bound(counts, needed) >= needed:
+            choice, value = layout.solve(counts)
+            flows += 1
+            welfare = value - price
+            # Enumeration order is lexicographically descending, so
+            # replacing the incumbent on equal welfare leaves the
+            # lexicographically smallest partition as the winner.
+            if best is None or welfare >= best[0]:
+                best = (welfare, counts, choice)
         if progress is not None and done % 1000 == 0:
             progress(done, hi - lo)
-    return best
+    return best, flows
 
 
 def _solve_parallel(market: Market, total: int, jobs: int):
@@ -252,10 +302,10 @@ def _solve_parallel(market: Market, total: int, jobs: int):
     best = None
     # Merge in slice order: later slices hold lexicographically smaller
     # partitions, so >= keeps the same tie rule as the sequential path.
-    for candidate in results:
+    for candidate, _ in results:
         if best is None or candidate[0] >= best[0]:
             best = candidate
-    return best
+    return best, sum(flows for _, flows in results)
 
 
 def brute_force_swm(

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from gbb.cli import main
-from gbb.documents import instance_to_dict, load_instance, to_canonical_json
 from gbb.generate import generate_instance
 from gbb.model import validate_market
 from tests.conftest import data_path
@@ -110,6 +109,7 @@ def test_solve_unstabilizable_exit(capsys, fix_e1_path, monkeypatch):
             partition=Partition({}),
             partitions_total=1,
             partitions_evaluated=1,
+            flows_solved=1,
         )
 
     monkeypatch.setattr(cli, "solve_swm", fake_solve)

@@ -267,3 +267,48 @@ def test_demand_vector_components_sum_to_buyer_count():
         demand = demand_vectors(market, alloc)
         for k in range(market.c):
             assert sum(d[k] for d in demand.values()) == len(market.buyers)
+
+
+def test_bound_skips_most_flows():
+    market = generate_instance(buyers=6, vendors=2, items=2, seed=2)
+    for jobs in (1, 2):
+        res = solve_swm(market, jobs=jobs)
+        assert res.partitions_evaluated == res.partitions_total == 3003
+        assert 1 <= res.flows_solved < res.partitions_total // 10
+
+
+def _flat_reference(market):
+    """Last welfare maximum over every partition, each solved by its flow."""
+    best = None
+    n, cells = len(market.buyers), len(market.vendor_tuples)
+    for counts in enumerate_partitions(n, cells):
+        part = Partition(dict(zip(market.vendor_tuples, counts)))
+        alloc, welfare = best_allocation_for_partition(market, part)
+        if best is None or welfare >= best[0]:
+            best = (welfare, part, alloc)
+    return best
+
+
+def test_pruned_solver_picks_the_flat_enumerations_partition():
+    # Small value ranges make equal-welfare partitions common, so this pins
+    # the tie rule under pruning as well as the optimum.
+    rng = random.Random(2024)
+    checked = 0
+    while checked < 150:
+        n, m, c = rng.randint(0, 5), rng.randint(1, 3), rng.randint(1, 2)
+        if partition_count(n, (m + 1) ** c) > 3000:
+            continue
+        market = generate_instance(
+            buyers=n,
+            vendors=m,
+            items=c,
+            seed=rng.randrange(10**6),
+            max_value=rng.choice((2, 3, 6, 20)),
+        )
+        welfare, part, alloc = _flat_reference(market)
+        for jobs in (1, 2):
+            res = solve_swm(market, jobs=jobs)
+            assert res.social_welfare == welfare
+            assert res.partition.counts == part.counts
+            assert res.allocation.choice == alloc.choice
+        checked += 1
