@@ -32,16 +32,13 @@ from .model import (
     Market,
     Money,
     group_partition,
-    market_price_of_choice,
-    triggered,
     validate_market,
 )
 from .swm import BudgetExceeded, brute_force_swm, partition_count, solve_swm
 from .transfers import (
-    PriceEntry,
-    PriceVector,
     Unstabilizable,
     fair_buyer_transfers,
+    price_vector,
     prices_from_transfers,
     solve_group_transfers,
 )
@@ -193,17 +190,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         # Market prices are re-derived from the instance; only the deltas
         # are taken from the document.
-        trig = triggered(market, solution.allocation)
-        entries = {}
-        for bid in market.buyer_ids:
-            base = market_price_of_choice(
-                market, solution.allocation.choice[bid], trig
-            )
-            delta = solution.deltas[bid]
-            entries[bid] = PriceEntry(
-                market_price=base, delta=delta, final=base + delta
-            )
-        prices = PriceVector(entries=entries)
+        prices = price_vector(market, solution.allocation, solution.deltas)
         gp = group_partition(market, solution.allocation)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc

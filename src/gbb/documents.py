@@ -197,15 +197,18 @@ def instance_from_dict(data: Any) -> Market:
     return Market.build(c=c, vendors=vendors, buyers=buyers)
 
 
-def load_instance(path: str) -> Market:
+def _read_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path}: invalid JSON ({exc})") from exc
-    return instance_from_dict(data)
+
+
+def load_instance(path: str) -> Market:
+    return instance_from_dict(_read_json(path))
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,6 +332,8 @@ def solution_from_dict(data: Any) -> ParsedSolution:
             _as_str(v, f"{where}.group[{k}]")
             for k, v in enumerate(_as_list(_get(obj, "group", where), where))
         )
+        if (s, x) in gt_entries:
+            raise DocumentError(f"{where}: duplicate group transfer {s!r} -> {x!r}")
         gt_entries[(s, x)] = _as_int(
             _get(obj, "amount", where), f"{where}.amount", minimum=0
         )
@@ -341,6 +346,8 @@ def solution_from_dict(data: Any) -> ParsedSolution:
         obj = _expect_object(entry, {"payer", "payee", "amount"}, where)
         payer = _as_str(_get(obj, "payer", where), f"{where}.payer")
         payee = _as_str(_get(obj, "payee", where), f"{where}.payee")
+        if (payer, payee) in matrix_entries:
+            raise DocumentError(f"{where}: duplicate transfer {payer!r} -> {payee!r}")
         matrix_entries[(payer, payee)] = rational_from_str(
             _get(obj, "amount", where)
         )
@@ -358,11 +365,4 @@ def solution_from_dict(data: Any) -> ParsedSolution:
 
 
 def load_solution(path: str) -> ParsedSolution:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"{path}: invalid JSON ({exc})") from exc
-    return solution_from_dict(data)
+    return solution_from_dict(_read_json(path))

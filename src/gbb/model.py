@@ -110,6 +110,16 @@ class Market:
         ids = sorted(v.id for v in self.vendors)
         return tuple(itertools.product(ids, repeat=self.c))
 
+    @cached_property
+    def tuple_base_prices(self) -> dict[VendorTuple, Money]:
+        """Undiscounted price of every vendor tuple, in ``vendor_tuples`` order."""
+        return {
+            choice: sum(
+                self._vendor_index[vid].base_prices[k] for k, vid in enumerate(choice)
+            )
+            for choice in self.vendor_tuples
+        }
+
 
 @dataclass(frozen=True, eq=False)
 class Allocation:
@@ -278,10 +288,6 @@ def triggered(market: Market, alloc: Allocation) -> dict[VendorId, int]:
     return triggered_tiers(market, demand_vectors(market, alloc))
 
 
-def triggered_vendors(market: Market, alloc: Allocation) -> set[VendorId]:
-    return {vid for vid, i in triggered(market, alloc).items() if i > 0}
-
-
 def market_price_of_choice(
     market: Market, choice: VendorTuple, trig: Mapping[VendorId, int]
 ) -> Money:
@@ -290,7 +296,14 @@ def market_price_of_choice(
     first = choice[0]
     if all(vid == first for vid in choice) and trig.get(first, 0) > 0:
         return market.vendor(first).tiers[trig[first] - 1].bundle_price
-    return sum(market.vendor(vid).base_prices[k] for k, vid in enumerate(choice))
+    try:
+        return market.tuple_base_prices[choice]
+    except KeyError:
+        for vid in choice:
+            market.vendor(vid)  # raises ValueError naming an unknown vendor id
+        raise ValueError(
+            f"choice {choice!r} has arity {len(choice)}, expected {market.c}"
+        ) from None
 
 
 def buyer_market_price(market: Market, alloc: Allocation, buyer_id: BuyerId) -> Money:
@@ -300,12 +313,6 @@ def buyer_market_price(market: Market, alloc: Allocation, buyer_id: BuyerId) -> 
 
 def utility(market: Market, alloc: Allocation, buyer_id: BuyerId) -> Money:
     trig = triggered(market, alloc)
-    return _utility_given(market, alloc, buyer_id, trig)
-
-
-def _utility_given(
-    market: Market, alloc: Allocation, buyer_id: BuyerId, trig: Mapping[VendorId, int]
-) -> Money:
     buyer = market.buyer(buyer_id)
     choice = _choice_of(market, alloc, buyer_id)
     return buyer.valuation(choice) - market_price_of_choice(market, choice, trig)
@@ -330,10 +337,7 @@ def best_alternative(market: Market, buyer_id: BuyerId) -> tuple[VendorTuple, Mo
     best_choice: VendorTuple | None = None
     best_value = 0
     for choice in market.vendor_tuples:
-        base = sum(
-            market.vendor(vid).base_prices[k] for k, vid in enumerate(choice)
-        )
-        value = buyer.valuation(choice) - base
+        value = buyer.valuation(choice) - market.tuple_base_prices[choice]
         if best_choice is None or value > best_value:
             best_choice = choice
             best_value = value

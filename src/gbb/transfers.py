@@ -265,14 +265,20 @@ def prices_from_transfers(
         deltas[payer] += amount
         deltas[payee] -= amount
     assert sum(deltas.values(), Fraction(0)) == 0
+    return price_vector(market, alloc, deltas)
+
+
+def price_vector(
+    market: Market, alloc: Allocation, deltas: Mapping[BuyerId, Fraction]
+) -> PriceVector:
+    """Each buyer's market price under ``alloc`` (from the tiers it
+    triggers) plus her delta."""
     trig = triggered(market, alloc)
     entries: dict[BuyerId, PriceEntry] = {}
-    for buyer in market.buyers:
-        base = market_price_of_choice(market, alloc.choice[buyer.id], trig)
-        delta = deltas[buyer.id]
-        entries[buyer.id] = PriceEntry(
-            market_price=base, delta=delta, final=base + delta
-        )
+    for b in market.buyer_ids:
+        base = market_price_of_choice(market, alloc.choice[b], trig)
+        delta = deltas[b]
+        entries[b] = PriceEntry(market_price=base, delta=delta, final=base + delta)
     return PriceVector(entries=entries)
 
 

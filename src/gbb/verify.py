@@ -1,10 +1,12 @@
 """Independent certification of allocation/price pairs.
 
-Every check re-derives surpluses, market prices and group structure from
-the raw market and allocation instead of trusting solver intermediates, so
-a certificate is meaningful for solutions produced elsewhere (or edited by
-hand).  Failing checks always carry concrete witnesses with both sides of
-the violated relation evaluated.
+Surpluses, market prices and group structure are re-derived from the raw
+market and allocation instead of trusting solver intermediates, so a
+certificate is meaningful for solutions produced elsewhere (or edited by
+hand).  ``certify`` derives them once per call (``group_partition``), and
+the stability, rationality and fairness checks all read that one group
+partition.  Failing checks always carry concrete witnesses with both sides
+of the violated relation evaluated.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .model import (
     Money,
     all_surpluses,
     group_partition,
-    triggered_vendors,
 )
 from .transfers import GroupTransfers, PriceVector, TransferMatrix
 
@@ -63,76 +64,60 @@ def _fail(witnesses: list[str]) -> CheckResult:
     return CheckResult(passed=not witnesses, witnesses=tuple(witnesses))
 
 
-def check_stable(
-    market: Market, alloc: Allocation, prices: PriceVector
-) -> CheckResult:
+def check_stable(gp: GroupPartition, prices: PriceVector) -> CheckResult:
     """No buyer can profit by walking away to base prices: for everyone the
     price increase stays within the surplus."""
-    sigma = all_surpluses(market, alloc)
     witnesses = []
-    for buyer in market.buyers:
-        delta = prices.entries[buyer.id].delta
-        if delta > sigma[buyer.id]:
+    for b, sigma in gp.surplus.items():
+        delta = prices.entries[b].delta
+        if delta > sigma:
             witnesses.append(
-                f"buyer {buyer.id}: price delta {delta} exceeds surplus "
-                f"{sigma[buyer.id]}"
+                f"buyer {b}: price delta {delta} exceeds surplus {sigma}"
             )
     return _fail(witnesses)
 
 
-def check_rational_prices(
-    market: Market, alloc: Allocation, prices: PriceVector
-) -> CheckResult:
+def check_rational_prices(gp: GroupPartition, prices: PriceVector) -> CheckResult:
     """Premiums only from positive-surplus discounted bundle buyers, and
     only where somebody needing a subsidy buys from the same vendor."""
-    sigma = all_surpluses(market, alloc)
-    discount_vendors = triggered_vendors(market, alloc)
+    bundle_vendor = {b: s for s, ids in gp.positive_groups.items() for b in ids}
+    subsidised = {s for x in gp.negative_groups for s in x}
     witnesses = []
-    for buyer in market.buyers:
-        delta = prices.entries[buyer.id].delta
+    for b, sigma in gp.surplus.items():
+        delta = prices.entries[b].delta
         if delta <= 0:
             continue
-        who = f"buyer {buyer.id}: pays premium {delta}"
-        if sigma[buyer.id] <= 0:
-            witnesses.append(f"{who} with surplus {sigma[buyer.id]} <= 0")
-            continue
-        choice = alloc.choice[buyer.id]
-        vendor = choice[0]
-        if any(v != vendor for v in choice) or vendor not in discount_vendors:
-            witnesses.append(f"{who} without a discounted bundle ({choice})")
-            continue
-        beneficiaries = [
-            other.id
-            for other in market.buyers
-            if sigma[other.id] < 0 and vendor in alloc.choice[other.id]
-        ]
-        if not beneficiaries:
+        who = f"buyer {b}: pays premium {delta}"
+        vendor = bundle_vendor.get(b)
+        if sigma <= 0:
+            witnesses.append(f"{who} with surplus {sigma} <= 0")
+        elif vendor is None:
+            witnesses.append(f"{who} without a discounted bundle")
+        elif vendor not in subsidised:
             witnesses.append(
                 f"{who} but no negative-surplus buyer purchases from {vendor}"
             )
     return _fail(witnesses)
 
 
-def check_fair(
-    market: Market, alloc: Allocation, prices: PriceVector
-) -> CheckResult:
+def check_fair(gp: GroupPartition, prices: PriceVector) -> CheckResult:
     """Same-choice positive-surplus buyers pay premiums proportional to
-    surplus (checked by cross-multiplication, never division)."""
-    sigma = all_surpluses(market, alloc)
+    surplus (checked by cross-multiplication, never division).
+
+    A positive-surplus buyer always holds a triggered full bundle, so the
+    same-choice classes are the positive groups.  Proportionality is an
+    equivalence, so each member is compared with its group's first member.
+    """
+    sigma = gp.surplus
     witnesses = []
-    eligible = [
-        b.id for b in market.buyers if sigma[b.id] > 0
-    ]
-    for i, b in enumerate(eligible):
-        for other in eligible[i + 1 :]:
-            if alloc.choice[b] != alloc.choice[other]:
-                continue
-            lhs = prices.entries[b].delta * sigma[other]
-            rhs = prices.entries[other].delta * sigma[b]
-            if lhs != rhs:
+    for first, *rest in gp.positive_groups.values():
+        d_first = prices.entries[first].delta
+        for other in rest:
+            d_other = prices.entries[other].delta
+            if d_first * sigma[other] != d_other * sigma[first]:
                 witnesses.append(
-                    f"buyers {b},{other}: {prices.entries[b].delta}*"
-                    f"{sigma[other]} != {prices.entries[other].delta}*{sigma[b]}"
+                    f"buyers {first},{other}: {d_first}*{sigma[other]} != "
+                    f"{d_other}*{sigma[first]}"
                 )
     return _fail(witnesses)
 
@@ -228,14 +213,18 @@ def certify(
     matrix: TransferMatrix,
     gp: GroupPartition | None = None,
 ) -> CertificateReport:
-    """Run the full standard check set on one solution."""
+    """Run the full standard check set on one solution.
+
+    A given ``gp`` must be ``group_partition(market, alloc)``; without one
+    it is derived here, once for all checks.
+    """
     if gp is None:
         gp = group_partition(market, alloc)
     return CertificateReport(
         checks={
-            "stable": check_stable(market, alloc, prices),
-            "rational_prices": check_rational_prices(market, alloc, prices),
-            "fair": check_fair(market, alloc, prices),
+            "stable": check_stable(gp, prices),
+            "rational_prices": check_rational_prices(gp, prices),
+            "fair": check_fair(gp, prices),
             "p_consistent": check_p_consistent(prices, matrix),
             "group_condition": check_group_condition(gp, gt),
             "budget_balance": check_budget_balance(prices),

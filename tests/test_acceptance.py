@@ -169,9 +169,7 @@ def test_c5_fairness_identity(corpus):
             for b in members:
                 assert matrix.paid_by(b) == gp.surplus[b] * share
                 payers += 1
-        assert check_fair(
-            item["market"], item["solved"].allocation, item["prices"]
-        ).passed
+        assert check_fair(gp, item["prices"]).passed
     report(5, f"exact proportional payments for {payers} payers")
 
 
@@ -273,49 +271,74 @@ def test_c9_flow_engine_oracles():
 # --- criterion 10: post-optimization stages at scale -------------------------
 
 
-def make_large_market():
+def make_large_market(scale=1):
+    """500·scale buyers: 300·scale bundled payers of s1, 100·scale negative
+    s1-bundle buyers and 100·scale negative (s1, s2) buyers."""
     vendors = [
-        Vendor("s1", (10, 10), (DiscountTier((350, 350), 12),)),
+        Vendor("s1", (10, 10), (DiscountTier((350 * scale, 350 * scale), 12),)),
         Vendor("s2", (3, 3)),
         Vendor("s3", (4, 4)),
     ]
     buyers = []
     choice = {}
-    for i in range(300):
+    for i in range(300 * scale):
         bid = f"a{i:03d}"
         buyers.append(Buyer(bid, {("s1", "s1"): 30}))
         choice[bid] = ("s1", "s1")
-    for i in range(100):
+    for i in range(100 * scale):
         bid = f"b{i:03d}"
         buyers.append(Buyer(bid, {("s1", "s1"): 13, ("s2", "s2"): 8}))
         choice[bid] = ("s1", "s1")
-    for i in range(100):
+    for i in range(100 * scale):
         bid = f"c{i:03d}"
         buyers.append(Buyer(bid, {("s1", "s2"): 12, ("s2", "s2"): 7}))
         choice[bid] = ("s1", "s2")
     return Market.build(c=2, vendors=vendors, buyers=buyers), Allocation(choice)
 
 
-def test_c10_transfer_stage_scales():
-    market, alloc = make_large_market()
-    started = time.perf_counter()
+def post_stages(market, alloc):
     gp = group_partition(market, alloc)
     gt = solve_group_transfers(market, alloc)
     matrix = fair_buyer_transfers(market, alloc, gp, gt)
     prices = prices_from_transfers(market, alloc, matrix)
-    elapsed = time.perf_counter() - started
-    assert elapsed < 5.0
+    return gp, gt, matrix, prices
 
-    assert gt.incoming_totals() == {("s1",): 100, ("s1", "s2"): 200}
+
+def assert_large_market_prices(gt, prices, scale):
+    assert gt.incoming_totals() == {("s1",): 100 * scale, ("s1", "s2"): 200 * scale}
     # every bundled payer gives 300/2400 = 1/8 of her surplus of 8
     assert prices.delta("a000") == 1
     assert prices.delta("b000") == Fraction(-1)
     assert prices.delta("c000") == Fraction(-2)
     assert sum(e.delta for e in prices.entries.values()) == 0
 
+
+def test_c10_transfer_stage_scales():
+    market, alloc = make_large_market()
+    started = time.perf_counter()
+    gp, gt, matrix, prices = post_stages(market, alloc)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 5.0
+    assert_large_market_prices(gt, prices, 1)
+
     checks = certify(market, alloc, prices, gt, matrix, gp=gp)
     assert checks.all_passed
     report(
         10,
         f"transfer + pricing stages for 500 buyers in {elapsed:.2f}s (< 5s)",
+    )
+
+
+def test_c10_post_stages_and_certify_scale_to_20000_buyers():
+    market, alloc = make_large_market(scale=40)
+    started = time.perf_counter()
+    gp, gt, matrix, prices = post_stages(market, alloc)
+    checks = certify(market, alloc, prices, gt, matrix, gp=gp)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 60.0
+    assert_large_market_prices(gt, prices, 40)
+    assert checks.all_passed
+    report(
+        10,
+        f"transfer, pricing and certify for 20 000 buyers in {elapsed:.2f}s (< 60s)",
     )

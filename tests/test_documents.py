@@ -17,6 +17,8 @@ from gbb.documents import (
 )
 from gbb.model import NULL_VENDOR, validate_market
 
+from tests.conftest import data_path
+
 
 def test_rational_strings():
     assert rational_to_str(Fraction(3, 4)) == "3/4"
@@ -136,3 +138,36 @@ def test_solution_rejects_bad_rational(fix_e1_path, tmp_path):
     data["buyers"]["b1"]["delta"] = "0.5"
     with pytest.raises(DocumentError, match="rational"):
         solution_from_dict(data)
+
+
+def _verify_with_repeat(tmp_path, capsys, field, entry):
+    """``gbb verify`` on fix_e2's golden solution with ``entry`` appended
+    to ``field``; returns the exit code and the parse error."""
+    from gbb.cli import main
+
+    with open(data_path("fix_e2.solve.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    data[field].append(entry)
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(DocumentError, match="duplicate") as err:
+        solution_from_dict(data)
+    code = main(["verify", data_path("fix_e2.json"), str(path)])
+    assert "duplicate" in capsys.readouterr().err
+    return code, str(err.value)
+
+
+def test_solution_rejects_repeated_transfer(tmp_path, capsys):
+    entry = {"payer": "b1", "payee": "b3", "amount": "999"}
+    code, message = _verify_with_repeat(tmp_path, capsys, "transfers", entry)
+    assert code == 2
+    assert "transfers[2]" in message
+
+
+def test_solution_rejects_repeated_group_transfer(tmp_path, capsys):
+    entry = {"vendor": "s1", "group": ["s1", "s2"], "amount": 12345}
+    code, message = _verify_with_repeat(
+        tmp_path, capsys, "group_transfers", entry
+    )
+    assert code == 2
+    assert "group_transfers[1]" in message

@@ -17,6 +17,7 @@ from gbb.model import (
     buyer_market_price,
     demand_vectors,
     group_partition,
+    market_price_of_choice,
     social_welfare,
     surplus,
     triggered,
@@ -203,6 +204,15 @@ def test_best_alternative_null_floor():
     assert choice == (NULL_VENDOR, NULL_VENDOR)
 
 
+def test_best_alternative_ties_go_to_the_smallest_tuple():
+    market = Market.build(
+        c=2,
+        vendors=[Vendor("s2", (3, 3)), Vendor("s1", (5, 5))],
+        buyers=[Buyer("b1", {("s2", "s2"): 8, ("s1", "s1"): 12})],
+    )
+    assert best_alternative(market, "b1") == (("s1", "s1"), 2)
+
+
 def test_surplus(fix_e1, fix_e2):
     assert surplus(fix_e1, MU_A, "b1") == 3
     assert surplus(fix_e1, MU_A, "b2") == -1
@@ -283,3 +293,10 @@ def test_demand_monotone_in_group_membership(fix_e1):
     before = demand_vectors(fix_e1, Allocation({"b1": ("s1", "s1"), "b2": ("s2", "s2")}))
     after = demand_vectors(fix_e1, MU_A)
     assert all(a >= b for a, b in zip(after["s1"], before["s1"]))
+
+
+def test_market_price_of_choice_rejects_unknown_vendor(fix_e1):
+    trig = triggered(fix_e1, MU_A)
+    assert market_price_of_choice(fix_e1, ("s1", "s2"), trig) == 7
+    with pytest.raises(ValueError, match="unknown vendor id 'zz'"):
+        market_price_of_choice(fix_e1, ("s1", "zz"), trig)

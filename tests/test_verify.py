@@ -4,14 +4,13 @@ import random
 from fractions import Fraction
 
 from gbb.generate import generate_instance
-from gbb.model import Allocation, group_partition
+from gbb.model import Allocation, all_surpluses, group_partition, triggered
 from gbb.swm import solve_swm
 from gbb.transfers import (
     GroupTransfers,
-    PriceEntry,
-    PriceVector,
     TransferMatrix,
     fair_buyer_transfers,
+    price_vector,
     prices_from_transfers,
     solve_group_transfers,
 )
@@ -42,77 +41,72 @@ def pipeline(market, alloc):
 
 
 def prices_with_deltas(market, alloc, deltas):
-    from gbb.model import market_price_of_choice, triggered
-
-    trig = triggered(market, alloc)
-    entries = {}
-    for b in market.buyer_ids:
-        base = market_price_of_choice(market, alloc.choice[b], trig)
-        d = Fraction(deltas.get(b, 0))
-        entries[b] = PriceEntry(market_price=base, delta=d, final=base + d)
-    return PriceVector(entries=entries)
+    return price_vector(
+        market, alloc, {b: Fraction(deltas.get(b, 0)) for b in market.buyer_ids}
+    )
 
 
 def test_check_stable_fix_e1(fix_e1):
-    _, _, _, prices = pipeline(fix_e1, MU_A)
-    assert check_stable(fix_e1, MU_A, prices).passed
+    gp, _, _, prices = pipeline(fix_e1, MU_A)
+    assert check_stable(gp, prices).passed
 
     bare = prices_with_deltas(fix_e1, MU_A, {})
-    result = check_stable(fix_e1, MU_A, bare)
+    result = check_stable(gp, bare)
     assert not result.passed
     assert any("b2" in w for w in result.witnesses)
 
 
 def test_check_stable_vacuous_when_no_negative_surplus(fix_e1):
     alloc = Allocation({"b1": ("s1", "s1"), "b2": ("s2", "s2")})
-    assert check_stable(fix_e1, alloc, prices_with_deltas(fix_e1, alloc, {})).passed
+    gp = group_partition(fix_e1, alloc)
+    assert check_stable(gp, prices_with_deltas(fix_e1, alloc, {})).passed
 
 
 def test_check_rational_prices(fix_e2):
-    _, _, _, prices = pipeline(fix_e2, MU_STAR)
-    assert check_rational_prices(fix_e2, MU_STAR, prices).passed
+    gp, _, _, prices = pipeline(fix_e2, MU_STAR)
+    assert check_rational_prices(gp, prices).passed
 
     premium_on_negative = prices_with_deltas(
         fix_e2, MU_STAR, {"b3": Fraction(1), "b1": Fraction(-1)}
     )
-    result = check_rational_prices(fix_e2, MU_STAR, premium_on_negative)
+    result = check_rational_prices(gp, premium_on_negative)
     assert not result.passed
     assert any("b3" in w and "surplus" in w for w in result.witnesses)
 
     assert check_rational_prices(
-        fix_e2, MU_STAR, prices_with_deltas(fix_e2, MU_STAR, {})
+        gp, prices_with_deltas(fix_e2, MU_STAR, {})
     ).passed
 
 
 def test_check_rational_rejects_premium_without_beneficiary(fix_e1):
-    alloc = MU_A
     # b1 pays although nobody with negative surplus shares the vendor
     market = fix_e1
     lonely = Allocation({"b1": ("s1", "s1"), "b2": ("s1", "s1")})
+    gp = group_partition(market, lonely)
     prices = prices_with_deltas(market, lonely, {"b1": 1, "b2": -1})
     # b2 has negative surplus and shares s1, so this passes ...
-    assert check_rational_prices(market, lonely, prices).passed
+    assert check_rational_prices(gp, prices).passed
     # ... but paying b2->b1 is premium from a subsidized group: fails
     reverse = prices_with_deltas(market, lonely, {"b2": 1, "b1": -1})
-    result = check_rational_prices(market, lonely, reverse)
+    result = check_rational_prices(gp, reverse)
     assert not result.passed
 
 
 def test_check_fair(fix_e2):
-    _, _, _, prices = pipeline(fix_e2, MU_STAR)
-    assert check_fair(fix_e2, MU_STAR, prices).passed
+    gp, _, _, prices = pipeline(fix_e2, MU_STAR)
+    assert check_fair(gp, prices).passed
 
     lopsided = prices_with_deltas(
         fix_e2, MU_STAR, {"b1": Fraction(2), "b3": Fraction(-2)}
     )
-    result = check_fair(fix_e2, MU_STAR, lopsided)
+    result = check_fair(gp, lopsided)
     assert not result.passed
     assert any("b1" in w and "b2" in w for w in result.witnesses)
 
 
 def test_check_fair_vacuous_single_payer(fix_e1):
-    _, _, _, prices = pipeline(fix_e1, MU_A)
-    assert check_fair(fix_e1, MU_A, prices).passed
+    gp, _, _, prices = pipeline(fix_e1, MU_A)
+    assert check_fair(gp, prices).passed
 
 
 def test_check_group_condition(fix_e1, fix_e2):
@@ -195,7 +189,7 @@ def test_certify_pipeline_soundness_random():
 def test_failing_checks_carry_witnesses(fix_e1):
     bad = prices_with_deltas(fix_e1, MU_A, {"b1": 5, "b2": -1})
     for result in (
-        check_stable(fix_e1, MU_A, bad),
+        check_stable(group_partition(fix_e1, MU_A), bad),
         check_budget_balance(bad),
         check_p_consistent(bad, TransferMatrix(entries={})),
     ):
@@ -216,3 +210,129 @@ def test_report_serialization(fix_e1):
         "group_condition",
         "budget_balance",
     }
+
+
+# --- pairwise reference checks ----------------------------------------------
+# The check bodies as they were before the checks read a group partition:
+# each re-derives surpluses and triggered tiers from (market, allocation) and
+# ``reference_fair`` compares every pair of positive-surplus buyers.
+
+
+def reference_stable(market, alloc, prices):
+    sigma = all_surpluses(market, alloc)
+    return all(prices.entries[b.id].delta <= sigma[b.id] for b in market.buyers)
+
+
+def reference_rational_prices(market, alloc, prices):
+    sigma = all_surpluses(market, alloc)
+    discount_vendors = {v for v, i in triggered(market, alloc).items() if i > 0}
+    for buyer in market.buyers:
+        if prices.entries[buyer.id].delta <= 0:
+            continue
+        if sigma[buyer.id] <= 0:
+            return False
+        choice = alloc.choice[buyer.id]
+        vendor = choice[0]
+        if any(v != vendor for v in choice) or vendor not in discount_vendors:
+            return False
+        if not any(
+            sigma[other.id] < 0 and vendor in alloc.choice[other.id]
+            for other in market.buyers
+        ):
+            return False
+    return True
+
+
+def reference_fair(market, alloc, prices):
+    sigma = all_surpluses(market, alloc)
+    eligible = [b.id for b in market.buyers if sigma[b.id] > 0]
+    for i, b in enumerate(eligible):
+        for other in eligible[i + 1 :]:
+            if alloc.choice[b] != alloc.choice[other]:
+                continue
+            lhs = prices.entries[b].delta * sigma[other]
+            rhs = prices.entries[other].delta * sigma[b]
+            if lhs != rhs:
+                return False
+    return True
+
+
+def perturbed_deltas(rng, market, gp):
+    """Delta vectors around the proportional shape the checks look for:
+    proportional within each positive group, exact subsidies, then some
+    of them nudged, zeroed or drawn at random."""
+    proportional = {b: Fraction(0) for b in market.buyer_ids}
+    for ids in gp.positive_groups.values():
+        ratio = Fraction(rng.randint(0, 4), rng.randint(1, 3))
+        for b in ids:
+            proportional[b] = ratio * gp.surplus[b]
+    for ids in gp.negative_groups.values():
+        for b in ids:
+            proportional[b] = gp.surplus[b] * rng.choice((0, 1, 1, 2))
+    nudged = dict(proportional)
+    b = rng.choice(market.buyer_ids)
+    nudged[b] += Fraction(rng.choice((-1, 1)), rng.randint(1, 3))
+    drawn = {
+        b: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for b in market.buyer_ids
+    }
+    return proportional, nudged, drawn, {}
+
+
+def test_checks_agree_with_pairwise_reference():
+    rng = random.Random(55)
+    verdicts = {"stable": [], "rational_prices": [], "fair": []}
+    for trial in range(150):
+        market = generate_instance(
+            buyers=rng.randint(1, 6),
+            vendors=rng.randint(1, 2),
+            items=rng.randint(1, 2),
+            seed=5500 + trial,
+            max_value=15,
+        )
+        if trial % 2:
+            alloc = solve_swm(market).allocation
+        else:
+            cells = market.vendor_tuples
+            alloc = Allocation({b: rng.choice(cells) for b in market.buyer_ids})
+        gp = group_partition(market, alloc)
+        for deltas in perturbed_deltas(rng, market, gp):
+            prices = prices_with_deltas(market, alloc, deltas)
+            for name, check, reference in (
+                ("stable", check_stable, reference_stable),
+                ("rational_prices", check_rational_prices, reference_rational_prices),
+                ("fair", check_fair, reference_fair),
+            ):
+                result = check(gp, prices)
+                assert result.passed == reference(market, alloc, prices), (
+                    name,
+                    trial,
+                    deltas,
+                )
+                assert result.passed != bool(result.witnesses)
+                verdicts[name].append(result.passed)
+    for name, passed in verdicts.items():
+        assert 50 <= sum(passed) <= len(passed) - 50, (name, sum(passed))
+
+
+def test_certify_derives_the_group_partition_at_most_once(fix_e2, monkeypatch):
+    import gbb.verify
+
+    gp, gt, matrix, prices = pipeline(fix_e2, MU_STAR)
+    calls = {"all_surpluses": 0, "group_partition": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(
+            gbb.verify, name, counting(name, getattr(gbb.verify, name))
+        )
+
+    assert certify(fix_e2, MU_STAR, prices, gt, matrix, gp=gp).all_passed
+    assert calls == {"all_surpluses": 0, "group_partition": 0}
+    assert certify(fix_e2, MU_STAR, prices, gt, matrix).all_passed
+    assert calls == {"all_surpluses": 0, "group_partition": 1}
