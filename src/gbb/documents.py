@@ -266,6 +266,8 @@ class ParsedSolution:
     allocation: Allocation
     market_prices: Mapping[BuyerId, Money]
     deltas: Mapping[BuyerId, Fraction]
+    utilities: Mapping[BuyerId, Money]
+    surpluses: Mapping[BuyerId, Money]
     group_transfers: GroupTransfers
     matrix: TransferMatrix
 
@@ -306,6 +308,8 @@ def solution_from_dict(data: Any) -> ParsedSolution:
         raise DocumentError("buyers: expected an object")
     market_prices: dict[BuyerId, Money] = {}
     deltas: dict[BuyerId, Fraction] = {}
+    utilities: dict[BuyerId, Money] = {}
+    surpluses: dict[BuyerId, Money] = {}
     for bid, entry in buyers_obj.items():
         where = f"buyers[{bid!r}]"
         obj = _expect_object(
@@ -317,8 +321,8 @@ def solution_from_dict(data: Any) -> ParsedSolution:
             _get(obj, "market_price", where), f"{where}.market_price"
         )
         deltas[bid] = rational_from_str(_get(obj, "delta", where))
-        _as_int(_get(obj, "utility", where), f"{where}.utility")
-        _as_int(_get(obj, "surplus", where), f"{where}.surplus")
+        utilities[bid] = _as_int(_get(obj, "utility", where), f"{where}.utility")
+        surpluses[bid] = _as_int(_get(obj, "surplus", where), f"{where}.surplus")
         rational_from_str(_get(obj, "final_price", where))
 
     gt_entries = {}
@@ -348,9 +352,10 @@ def solution_from_dict(data: Any) -> ParsedSolution:
         payee = _as_str(_get(obj, "payee", where), f"{where}.payee")
         if (payer, payee) in matrix_entries:
             raise DocumentError(f"{where}: duplicate transfer {payer!r} -> {payee!r}")
-        matrix_entries[(payer, payee)] = rational_from_str(
-            _get(obj, "amount", where)
-        )
+        amount = rational_from_str(_get(obj, "amount", where))
+        if amount <= 0:
+            raise DocumentError(f"{where}: amount {amount} must be positive")
+        matrix_entries[(payer, payee)] = amount
 
     _get(doc, "certificate", "solution")
     _get(doc, "metadata", "solution")
@@ -359,6 +364,8 @@ def solution_from_dict(data: Any) -> ParsedSolution:
         allocation=Allocation(choice=choice),
         market_prices=market_prices,
         deltas=deltas,
+        utilities=utilities,
+        surpluses=surpluses,
         group_transfers=GroupTransfers(entries=gt_entries),
         matrix=TransferMatrix(entries=matrix_entries),
     )

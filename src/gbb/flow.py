@@ -110,6 +110,24 @@ class _Residual:
             self.cap.append(0)
             self.cost.append(-edge.cost)
 
+    def augment(self, parent_edge: list[int]) -> int:
+        """Push the bottleneck along the path in ``parent_edge``; return it."""
+        source, sink = self.net.source, self.net.sink
+        bottleneck = None
+        v = sink
+        while v != source:
+            eid = parent_edge[v]
+            if bottleneck is None or self.cap[eid] < bottleneck:
+                bottleneck = self.cap[eid]
+            v = self.head[eid ^ 1]
+        v = sink
+        while v != source:
+            eid = parent_edge[v]
+            self.cap[eid] -= bottleneck
+            self.cap[eid ^ 1] += bottleneck
+            v = self.head[eid ^ 1]
+        return bottleneck
+
     def extract(self, value: int) -> Flow:
         flows = tuple(self.cap[2 * i + 1] for i in range(len(self.net.edges)))
         cost = sum(f * e.cost for f, e in zip(flows, self.net.edges))
@@ -136,20 +154,7 @@ def max_flow(net: FlowNetwork) -> Flow:
                     queue.append(v)
         if parent_edge[sink] == -1:
             break
-        bottleneck = None
-        v = sink
-        while v != source:
-            eid = parent_edge[v]
-            if bottleneck is None or res.cap[eid] < bottleneck:
-                bottleneck = res.cap[eid]
-            v = res.head[eid ^ 1]
-        v = sink
-        while v != source:
-            eid = parent_edge[v]
-            res.cap[eid] -= bottleneck
-            res.cap[eid ^ 1] += bottleneck
-            v = res.head[eid ^ 1]
-        value += bottleneck
+        value += res.augment(parent_edge)
     return res.extract(value)
 
 
@@ -234,18 +239,5 @@ def min_cost_max_flow(net: FlowNetwork) -> Flow:
         for v in range(n):
             if dist[v] < unreachable:
                 pot[v] += dist[v]
-        bottleneck = None
-        v = sink
-        while v != source:
-            eid = parent_edge[v]
-            if bottleneck is None or res.cap[eid] < bottleneck:
-                bottleneck = res.cap[eid]
-            v = res.head[eid ^ 1]
-        v = sink
-        while v != source:
-            eid = parent_edge[v]
-            res.cap[eid] -= bottleneck
-            res.cap[eid ^ 1] += bottleneck
-            v = res.head[eid ^ 1]
-        value += bottleneck
+        value += res.augment(parent_edge)
     return res.extract(value)

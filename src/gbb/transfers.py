@@ -5,14 +5,14 @@ to negative-surplus buyers purchasing from that vendor.  They are found as
 a max flow on a three-layer network, split between individual buyers
 proportionally to surplus, and finally folded into per-buyer prices.
 Amounts at the group level are integers; per-buyer splits are exact
-rationals.
+rationals, matched as integers over each split's common denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, TypeVar
 
 from .flow import FlowNetwork, NetworkBuilder, max_flow
 from .model import (
@@ -27,6 +27,9 @@ from .model import (
     triggered,
     market_price_of_choice,
 )
+
+
+Amount = TypeVar("Amount", int, Fraction)
 
 
 class Unstabilizable(Exception):
@@ -84,20 +87,17 @@ class TransferMatrix:
 
     entries: Mapping[tuple[BuyerId, BuyerId], Fraction]
 
-    def paid_by(self, buyer_id: BuyerId) -> Fraction:
-        return sum(
-            (a for (payer, _), a in self.entries.items() if payer == buyer_id),
-            Fraction(0),
-        )
-
-    def received_by(self, buyer_id: BuyerId) -> Fraction:
-        return sum(
-            (a for (_, payee), a in self.entries.items() if payee == buyer_id),
-            Fraction(0),
-        )
+    def net_outflows(self) -> dict[BuyerId, Fraction]:
+        """Payments minus receipts per buyer named in the matrix, keyed in
+        order of first appearance (payer before payee within an entry)."""
+        flows: dict[BuyerId, Fraction] = {}
+        for (payer, payee), amount in self.entries.items():
+            flows[payer] = flows.get(payer, 0) + amount
+            flows[payee] = flows.get(payee, 0) - amount
+        return flows
 
     def net_outflow(self, buyer_id: BuyerId) -> Fraction:
-        return self.paid_by(buyer_id) - self.received_by(buyer_id)
+        return self.net_outflows().get(buyer_id, Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -129,9 +129,7 @@ class CrossTransferGraph:
         return shortest_cycle(self) is None
 
 
-def group_transfer_network(
-    market: Market, alloc: Allocation, gp: GroupPartition
-) -> FlowNetwork:
+def group_transfer_network(gp: GroupPartition) -> FlowNetwork:
     """Three-layer network whose feasible flows are exactly the rational
     group transfers: source -> choice groups -> vendors -> sink."""
     builder = NetworkBuilder()
@@ -160,41 +158,37 @@ def solve_group_transfers(market: Market, alloc: Allocation) -> GroupTransfers:
     identifying every deficient group.
     """
     gp = group_partition(market, alloc)
-    net = group_transfer_network(market, alloc, gp)
+    net = group_transfer_network(gp)
     flow = max_flow(net)
-
-    deficits: dict[VendorTuple, Money] = {}
-    group_received: dict[VendorTuple, Money] = {}
-    entries: dict[tuple[VendorId, VendorTuple], Money] = {}
-    for (s, x), f in flow.tagged():
-        group_received[x] = group_received.get(x, 0) + f
-        if f > 0:
-            entries[(s, x)] = f
-    for x, needed in gp.negative_totals.items():
-        got = group_received.get(x, 0)
-        if got < needed:
-            deficits[x] = needed - got
+    gt = GroupTransfers(entries={tag: f for tag, f in flow.tagged() if f > 0})
+    received = gt.incoming_totals()
+    deficits = {
+        x: needed - received.get(x, 0)
+        for x, needed in gp.negative_totals.items()
+        if received.get(x, 0) < needed
+    }
     if deficits:
         raise Unstabilizable(deficits)
-    return GroupTransfers(entries=entries)
+    return gt
 
 
 def greedy_match(
-    offers: Iterable[tuple[BuyerId, Fraction]],
-    requests: Iterable[tuple[BuyerId, Fraction]],
-) -> dict[tuple[BuyerId, BuyerId], Fraction]:
+    offers: Iterable[tuple[BuyerId, Amount]],
+    requests: Iterable[tuple[BuyerId, Amount]],
+) -> dict[tuple[BuyerId, BuyerId], Amount]:
     """Two-pointer matching: each offer is spent in order until the current
-    request is met, leaving at most offers+requests-1 nonzero transfers."""
-    offers = [(b, Fraction(a)) for b, a in offers]
-    requests = [(b, Fraction(a)) for b, a in requests]
+    request is met, leaving at most offers+requests-1 nonzero transfers.
+    Amounts keep the number type they are given (``int`` or ``Fraction``)."""
+    offers = list(offers)
+    requests = list(requests)
     if any(a < 0 for _, a in offers) or any(a < 0 for _, a in requests):
         raise ValueError("amounts must be nonnegative")
-    offered = sum((a for _, a in offers), Fraction(0))
-    requested = sum((a for _, a in requests), Fraction(0))
+    offered = sum(a for _, a in offers)
+    requested = sum(a for _, a in requests)
     if offered != requested:
         raise SumMismatch(f"offered {offered} != requested {requested}")
 
-    result: dict[tuple[BuyerId, BuyerId], Fraction] = {}
+    result: dict[tuple[BuyerId, BuyerId], Amount] = {}
     i = 0
     for payee, need in requests:
         while need > 0:
@@ -203,7 +197,7 @@ def greedy_match(
                 i += 1
                 continue
             paid = min(avail, need)
-            result[(payer, payee)] = result.get((payer, payee), Fraction(0)) + paid
+            result[(payer, payee)] = result.get((payer, payee), 0) + paid
             need -= paid
             avail -= paid
             offers[i] = (payer, avail)
@@ -220,37 +214,34 @@ def fair_buyer_transfers(
 ) -> TransferMatrix:
     """Split group transfers between buyers proportionally to surplus.
 
-    For each paying vendor the receiving groups are processed in canonical
-    order; in each round every payer contributes the same fraction of her
-    residual surplus, and every receiver in the group gets the group's
-    share of her required subsidy.  All arithmetic is exact.
+    Group transfers are taken in ``(vendor, group)`` order.  A transfer of
+    ``amount`` from vendor ``s`` to choice group ``x`` costs each payer
+    ``amount·σ_b/P`` and gives each receiver ``amount·(−σ_r)/Q``, where
+    ``P`` is the surplus of ``s``'s positive group and ``Q`` the subsidy
+    ``x`` needs.  Both sides are scaled by ``P·Q`` and matched on integers.
+    Raises SumMismatch when a transfer targets an unknown group or comes
+    from a vendor with no positive group, or when a vendor's transfers
+    exceed ``P``.
     """
     entries: dict[tuple[BuyerId, BuyerId], Fraction] = {}
-    for s in sorted(gp.positive_groups):
-        payers = gp.positive_groups[s]
-        residual = {b: Fraction(gp.surplus[b]) for b in payers}
-        rounds = sorted(x for (vendor, x) in gt.entries if vendor == s)
-        for x in rounds:
-            amount = gt.entries[(s, x)]
-            if amount == 0:
-                continue
-            if x not in gp.negative_totals:
-                raise SumMismatch(f"transfers target unknown group {x!r}")
-            residual_total = sum(residual.values(), Fraction(0))
-            if residual_total < amount:
-                raise SumMismatch(
-                    f"vendor {s!r} owes {amount} with only {residual_total} left"
-                )
-            pay_ratio = Fraction(amount) / residual_total
-            receive_ratio = Fraction(amount, gp.negative_totals[x])
-            offers = [(b, pay_ratio * residual[b]) for b in payers]
-            requests = [
-                (b, -receive_ratio * gp.surplus[b]) for b in gp.negative_groups[x]
-            ]
-            for pair, paid in greedy_match(offers, requests).items():
-                entries[pair] = entries.get(pair, Fraction(0)) + paid
-            for b in payers:
-                residual[b] *= 1 - pay_ratio
+    spent: dict[VendorId, Money] = {}
+    for s, x in sorted(gt.entries):
+        amount = gt.entries[(s, x)]
+        if amount == 0:
+            continue
+        if x not in gp.negative_totals:
+            raise SumMismatch(f"transfers target unknown group {x!r}")
+        if s not in gp.positive_totals:
+            raise SumMismatch(f"vendor {s!r} owes {amount} without a positive group")
+        p, q = gp.positive_totals[s], gp.negative_totals[x]
+        left = p - spent.get(s, 0)
+        if left < amount:
+            raise SumMismatch(f"vendor {s!r} owes {amount} with only {left} left")
+        spent[s] = spent.get(s, 0) + amount
+        offers = [(b, amount * gp.surplus[b] * q) for b in gp.positive_groups[s]]
+        requests = [(b, -amount * gp.surplus[b] * p) for b in gp.negative_groups[x]]
+        for pair, paid in greedy_match(offers, requests).items():
+            entries[pair] = entries.get(pair, 0) + Fraction(paid, p * q)
     return TransferMatrix(entries=entries)
 
 
@@ -258,13 +249,10 @@ def prices_from_transfers(
     market: Market, alloc: Allocation, matrix: TransferMatrix
 ) -> PriceVector:
     """Fold pairwise transfers into each buyer's final price."""
-    deltas: dict[BuyerId, Fraction] = {b.id: Fraction(0) for b in market.buyers}
-    for (payer, payee), amount in matrix.entries.items():
-        if payer not in deltas or payee not in deltas:
-            raise ValueError(f"transfer {payer!r}->{payee!r} references unknown buyer")
-        deltas[payer] += amount
-        deltas[payee] -= amount
-    assert sum(deltas.values(), Fraction(0)) == 0
+    flows = matrix.net_outflows()
+    deltas = {b: flows.pop(b, Fraction(0)) for b in market.buyer_ids}
+    if flows:
+        raise ValueError(f"transfer references unknown buyer {next(iter(flows))!r}")
     return price_vector(market, alloc, deltas)
 
 
@@ -294,23 +282,9 @@ def transfers_from_price_deltas(
     exact = {b: Fraction(d) for b, d in deltas.items()}
     if sum(exact.values(), Fraction(0)) != 0:
         raise NonZeroSum(f"deltas sum to {sum(exact.values(), Fraction(0))}")
-    payers = [(b, exact[b]) for b in sorted(exact) if exact[b] > 0]
-    payees = [(b, -exact[b]) for b in sorted(exact) if exact[b] < 0]
-    entries: dict[tuple[BuyerId, BuyerId], Fraction] = {}
-    while payees:
-        payee, need = payees.pop()
-        while need > 0:
-            payer, avail = payers[-1]
-            if avail <= need:
-                entries[(payer, payee)] = avail
-                need -= avail
-                payers.pop()
-            else:
-                entries[(payer, payee)] = need
-                payers[-1] = (payer, avail - need)
-                need = Fraction(0)
-    assert not payers
-    return TransferMatrix(entries=entries)
+    payers = [(b, exact[b]) for b in sorted(exact, reverse=True) if exact[b] > 0]
+    payees = [(b, -exact[b]) for b in sorted(exact, reverse=True) if exact[b] < 0]
+    return TransferMatrix(entries=greedy_match(payers, payees))
 
 
 def cross_transfer_graph(

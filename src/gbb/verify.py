@@ -17,7 +17,6 @@ from typing import Mapping
 
 from .model import (
     Allocation,
-    BuyerId,
     GroupPartition,
     Market,
     Money,
@@ -153,21 +152,16 @@ def check_group_condition(gp: GroupPartition, gt: GroupTransfers) -> CheckResult
 
 def check_p_consistent(prices: PriceVector, matrix: TransferMatrix) -> CheckResult:
     """Each buyer's price delta equals her net transfer outflow."""
-    flows: dict[BuyerId, Fraction] = {b: Fraction(0) for b in prices.entries}
+    flows = matrix.net_outflows()
+    for b in flows:
+        if b not in prices.entries:
+            return _fail([f"transfer references unknown buyer {b}"])
     witnesses = []
-    for (payer, payee), amount in matrix.entries.items():
-        for b in (payer, payee):
-            if b not in flows:
-                witnesses.append(f"transfer references unknown buyer {b}")
-                return _fail(witnesses)
-        flows[payer] += amount
-        flows[payee] -= amount
     for b in sorted(prices.entries):
         delta = prices.entries[b].delta
-        if delta != flows[b]:
-            witnesses.append(
-                f"buyer {b}: price delta {delta} != net transfer {flows[b]}"
-            )
+        flow = flows.get(b, 0)
+        if delta != flow:
+            witnesses.append(f"buyer {b}: price delta {delta} != net transfer {flow}")
     return _fail(witnesses)
 
 

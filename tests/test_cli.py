@@ -219,6 +219,28 @@ def test_verify_detects_tampered_delta(capsys, fix_e1_path, tmp_path):
     assert "fair: PASS" in out
 
 
+def test_verify_rejects_stored_fields_that_contradict_the_instance(
+    capsys, fix_e2_path, tmp_path
+):
+    sol = tmp_path / "sol.json"
+    for buyer, field, value in (
+        ("b1", "market_price", 1),
+        ("b1", "utility", 77),
+        ("b1", "surplus", -5),
+        (None, "social_welfare", 12345),
+    ):
+        with open(data_path("fix_e2.solve.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        (doc if buyer is None else doc["buyers"][buyer])[field] = value
+        sol.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["verify", fix_e2_path, str(sol)])
+        assert code == 2, field
+        assert out == ""
+        assert f"stored {field} {value} != derived" in err
+        if buyer is not None:
+            assert f"buyer {buyer}:" in err
+
+
 def test_verify_buyer_set_mismatch(capsys, fix_e1_path, fix_e2_path, tmp_path):
     sol = tmp_path / "sol.json"
     main(["solve", fix_e2_path, "--out", str(sol)])

@@ -171,3 +171,21 @@ def test_solution_rejects_repeated_group_transfer(tmp_path, capsys):
     )
     assert code == 2
     assert "group_transfers[1]" in message
+
+
+def test_solution_rejects_non_positive_transfer_amount(tmp_path, capsys):
+    from gbb.cli import main
+
+    with open(data_path("fix_e2.solve.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    b1_to_b3, b2_to_b3 = data["transfers"]
+    b3_to_b1 = {"payer": "b3", "payee": "b1", "amount": "-1"}
+    b1_to_b2 = {"payer": "b1", "payee": "b2", "amount": "0"}
+    path = tmp_path / "non_positive.json"
+    for transfers in ([b3_to_b1, b2_to_b3], [b1_to_b3, b2_to_b3, b1_to_b2]):
+        data["transfers"] = transfers
+        with pytest.raises(DocumentError, match="must be positive"):
+            solution_from_dict(data)
+        path.write_text(json.dumps(data))
+        assert main(["verify", data_path("fix_e2.json"), str(path)]) == 2
+        assert "must be positive" in capsys.readouterr().err

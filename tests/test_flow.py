@@ -170,7 +170,7 @@ def test_fix_e1_transfer_network_value(fix_e1):
     from gbb.transfers import group_transfer_network
 
     alloc = Allocation({"b1": ("s1", "s1"), "b2": ("s1", "s1")})
-    net = group_transfer_network(fix_e1, alloc, group_partition(fix_e1, alloc))
+    net = group_transfer_network(group_partition(fix_e1, alloc))
     assert max_flow(net).value == 1
 
 

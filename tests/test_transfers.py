@@ -39,7 +39,7 @@ def edges_of(net):
 
 def test_transfer_network_fix_e1(fix_e1):
     gp = group_partition(fix_e1, MU_A)
-    net = group_transfer_network(fix_e1, MU_A, gp)
+    net = group_transfer_network(gp)
     # r -> group{s1} cap 1; group -> vendor s1 cap 1; vendor -> sink cap 3
     assert edges_of(net) == [
         (0, 1, 1, None),
@@ -50,7 +50,7 @@ def test_transfer_network_fix_e1(fix_e1):
 
 def test_transfer_network_fix_e2(fix_e2):
     gp = group_partition(fix_e2, MU_STAR)
-    net = group_transfer_network(fix_e2, MU_STAR, gp)
+    net = group_transfer_network(gp)
     x = ("s1", "s2")
     assert edges_of(net) == [
         (0, 1, 2, None),
@@ -64,7 +64,7 @@ def test_transfer_network_fix_e2(fix_e2):
 def test_transfer_network_empty_when_no_negatives(fix_e1):
     alloc = Allocation({"b1": ("s1", "s1"), "b2": ("s2", "s2")})
     gp = group_partition(fix_e1, alloc)
-    net = group_transfer_network(fix_e1, alloc, gp)
+    net = group_transfer_network(gp)
     assert all(e.tail != net.source for e in net.edges)
     assert max_flow(net).value == 0
     assert solve_group_transfers(fix_e1, alloc).entries == {}
@@ -98,6 +98,10 @@ def test_greedy_match_trace():
         ("b", "x"): Fraction(1),
         ("b", "y"): Fraction(1),
     }
+    assert all(type(a) is Fraction for a in result.values())
+    on_ints = greedy_match([("a", 3), ("b", 2)], [("x", 4), ("y", 1)])
+    assert list(on_ints.items()) == list(result.items())
+    assert all(type(a) is int for a in on_ints.values())
 
 
 def test_greedy_match_single_pair_and_split():
@@ -155,6 +159,89 @@ def test_fair_buyer_transfers_zero_groups(fix_e1):
     assert matrix.entries == {}
 
 
+def test_fair_buyer_transfers_rejects_inconsistent_group_transfers(fix_e2):
+    gp = group_partition(fix_e2, MU_STAR)
+    x = ("s1", "s2")
+    for entries, message in (
+        ({("s1", ("s2",)): 1}, "unknown group"),
+        ({("s1", x): 9}, "owes 9 with only 8 left"),
+        ({("s9", x): 2}, "without a positive group"),
+    ):
+        with pytest.raises(SumMismatch, match=message):
+            fair_buyer_transfers(fix_e2, MU_STAR, gp, GroupTransfers(entries))
+    zero = fair_buyer_transfers(fix_e2, MU_STAR, gp, GroupTransfers({("s9", x): 0}))
+    assert zero.entries == {}
+
+    # the budget runs across a vendor's transfers: 2 + 2 > 3
+    two_groups = GroupPartition(
+        positive_groups={"s1": ("a",)},
+        positive_totals={"s1": 3},
+        negative_groups={("s1",): ("r",), x: ("q",)},
+        negative_totals={("s1",): 2, x: 2},
+        surplus={"a": 3, "r": -2, "q": -2},
+    )
+    gt = GroupTransfers({("s1", ("s1",)): 2, ("s1", x): 2})
+    with pytest.raises(SumMismatch, match="owes 2 with only 1 left"):
+        fair_buyer_transfers(fix_e2, MU_STAR, two_groups, gt)
+
+
+def reference_fair_buyer_transfers(gp, gt):
+    """The earlier split: each payer keeps a residual surplus that every
+    round rescales by ``1 - pay_ratio``."""
+    entries = {}
+    for s in sorted(gp.positive_groups):
+        payers = gp.positive_groups[s]
+        residual = {b: Fraction(gp.surplus[b]) for b in payers}
+        rounds = sorted(x for (vendor, x) in gt.entries if vendor == s)
+        for x in rounds:
+            amount = gt.entries[(s, x)]
+            if amount == 0:
+                continue
+            if x not in gp.negative_totals:
+                raise SumMismatch(f"transfers target unknown group {x!r}")
+            residual_total = sum(residual.values(), Fraction(0))
+            if residual_total < amount:
+                raise SumMismatch(
+                    f"vendor {s!r} owes {amount} with only {residual_total} left"
+                )
+            pay_ratio = Fraction(amount) / residual_total
+            receive_ratio = Fraction(amount, gp.negative_totals[x])
+            offers = [(b, pay_ratio * residual[b]) for b in payers]
+            requests = [
+                (b, -receive_ratio * gp.surplus[b]) for b in gp.negative_groups[x]
+            ]
+            for pair, paid in greedy_match(offers, requests).items():
+                entries[pair] = entries.get(pair, Fraction(0)) + paid
+            for b in payers:
+                residual[b] *= 1 - pay_ratio
+    return TransferMatrix(entries=entries)
+
+
+def test_fair_split_matches_residual_reference():
+    from tests.test_acceptance import make_large_market
+
+    rng = random.Random(17)
+    cases = [make_large_market(), make_large_market(scale=4)]
+    for trial in range(300):
+        market = generate_instance(
+            buyers=rng.randint(2, 5),
+            vendors=rng.randint(1, 2),
+            items=rng.randint(1, 2),
+            seed=4000 + trial,
+            max_value=rng.choice([6, 15, 40]),
+        )
+        cases.append((market, solve_swm(market).allocation))
+    compared = 0
+    for market, alloc in cases:
+        gt = solve_group_transfers(market, alloc)
+        gp = group_partition(market, alloc)
+        matrix = fair_buyer_transfers(market, alloc, gp, gt)
+        reference = reference_fair_buyer_transfers(gp, gt)
+        assert list(matrix.entries.items()) == list(reference.entries.items())
+        compared += bool(matrix.entries)
+    assert compared >= 25
+
+
 def test_fairness_identity_on_corpus():
     rng = random.Random(42)
     for trial in range(25):
@@ -169,14 +256,17 @@ def test_fairness_identity_on_corpus():
         gp = group_partition(market, alloc)
         gt = solve_group_transfers(market, alloc)
         matrix = fair_buyer_transfers(market, alloc, gp, gt)
+        # payers only pay and receivers only receive
+        assert all(gp.surplus[p] > 0 > gp.surplus[q] for p, q in matrix.entries)
+        net = matrix.net_outflows()
         outgoing = gt.outgoing_totals()
         for s, members in gp.positive_groups.items():
             share = Fraction(outgoing.get(s, 0), gp.positive_totals[s])
             for b in members:
-                assert matrix.paid_by(b) == gp.surplus[b] * share
+                assert net.get(b, 0) == gp.surplus[b] * share
         for x, members in gp.negative_groups.items():
             for b in members:
-                assert matrix.received_by(b) == -gp.surplus[b]
+                assert net[b] == gp.surplus[b]
 
 
 def test_prices_from_transfers_fixtures(fix_e1, fix_e2):
@@ -237,18 +327,50 @@ def test_transfers_from_price_deltas_zero_and_errors():
         transfers_from_price_deltas({"a": Fraction(1, 2)})
 
 
+def reference_transfers_from_price_deltas(deltas):
+    """The earlier construction: the last receiver is covered from the tail
+    of the payer list, and the loop recurses on the rest."""
+    exact = {b: Fraction(d) for b, d in deltas.items()}
+    payers = [(b, exact[b]) for b in sorted(exact) if exact[b] > 0]
+    payees = [(b, -exact[b]) for b in sorted(exact) if exact[b] < 0]
+    entries = {}
+    while payees:
+        payee, need = payees.pop()
+        while need > 0:
+            payer, avail = payers[-1]
+            if avail <= need:
+                entries[(payer, payee)] = avail
+                need -= avail
+                payers.pop()
+            else:
+                entries[(payer, payee)] = need
+                payers[-1] = (payer, avail - need)
+                need = Fraction(0)
+    assert not payers
+    return TransferMatrix(entries=entries)
+
+
 def test_price_delta_round_trip_random():
     rng = random.Random(8)
-    for _ in range(60):
+    for _ in range(300):
         n = rng.randint(2, 10)
         deltas = {
             f"b{i}": Fraction(rng.randint(-40, 40), rng.randint(1, 9))
             for i in range(n - 1)
         }
         deltas[f"b{n - 1}"] = -sum(deltas.values())
+        if rng.random() < 0.3:
+            deltas = {
+                b: d.numerator if d.denominator == 1 else d
+                for b, d in deltas.items()
+            }
         matrix = transfers_from_price_deltas(deltas)
         for b, d in deltas.items():
             assert matrix.net_outflow(b) == d
+        reference = reference_transfers_from_price_deltas(deltas)
+        assert [(k, type(a), a) for k, a in matrix.entries.items()] == [
+            (k, type(a), a) for k, a in reference.entries.items()
+        ]
 
 
 def test_cross_transfer_graph_cases():
@@ -470,7 +592,7 @@ def test_transfer_flow_bijection_round_trip():
             continue
         checked += 1
         gt = solve_group_transfers(market, alloc)
-        net = group_transfer_network(market, alloc, gp)
+        net = group_transfer_network(gp)
         flows = flow_from_transfers(net, gt)
         # the reconstruction is a feasible flow saturating the source side
         for f, e in zip(flows, net.edges):
