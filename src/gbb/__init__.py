@@ -19,13 +19,12 @@ from .model import (
     VendorId,
     VendorTuple,
     best_alternative,
-    buyer_market_price,
     demand_vectors,
     group_partition,
+    market_prices,
     social_welfare,
-    surplus,
     triggered,
-    utility,
+    utilities,
     validate_market,
 )
 from .flow import Flow, FlowNetwork, NetworkBuilder, max_flow, min_cost_max_flow

@@ -29,15 +29,14 @@ from .documents import (
 from .generate import generate_instance
 from .model import (
     Allocation,
-    BuyerId,
     Market,
     Money,
     group_partition,
+    utilities,
     validate_market,
 )
 from .swm import BudgetExceeded, brute_force_swm, partition_count, solve_swm
 from .transfers import (
-    PriceVector,
     Unstabilizable,
     fair_buyer_transfers,
     price_vector,
@@ -71,16 +70,6 @@ def _load_valid_instance(path: str) -> Market:
     return market
 
 
-def _utilities(
-    market: Market, alloc: Allocation, prices: PriceVector
-) -> dict[BuyerId, Money]:
-    """Each buyer's valuation of its choice minus its market price."""
-    return {
-        b.id: b.valuation(alloc.choice[b.id]) - prices.entries[b.id].market_price
-        for b in market.buyers
-    }
-
-
 def _solve_and_emit(
     args: argparse.Namespace,
     solver: str,
@@ -102,7 +91,6 @@ def _solve_and_emit(
     gt = solve_group_transfers(market, alloc)
     matrix = fair_buyer_transfers(market, alloc, gp, gt)
     prices = prices_from_transfers(market, alloc, matrix)
-    utilities = _utilities(market, alloc, prices)
     report = None
     if run_checks:
         report = certify(market, alloc, prices, gt, matrix, gp=gp)
@@ -124,7 +112,7 @@ def _solve_and_emit(
         social_welfare=welfare,
         allocation=alloc,
         prices=prices,
-        utilities=utilities,
+        utilities=utilities(market, alloc),
         surpluses=dict(gp.surplus),
         group_transfers=gt,
         matrix=matrix,
@@ -202,19 +190,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
         gp = group_partition(market, solution.allocation)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
-    # The fields no check reads must still be the ones the instance gives.
-    utilities = _utilities(market, solution.allocation, prices)
+    # The fields no check reads must still be the ones the instance and the
+    # stored deltas give.
+    derived_utilities = utilities(market, solution.allocation)
     for b in market.buyer_ids:
+        entry = prices.entries[b]
         for field, stored, derived in (
-            ("market_price", solution.market_prices[b], prices.entries[b].market_price),
-            ("utility", solution.utilities[b], utilities[b]),
+            ("market_price", solution.market_prices[b], entry.market_price),
+            ("final_price", solution.final_prices[b], entry.final),
+            ("utility", solution.utilities[b], derived_utilities[b]),
             ("surplus", solution.surpluses[b], gp.surplus[b]),
         ):
             if stored != derived:
                 raise DocumentError(
                     f"buyer {b}: stored {field} {stored} != derived {derived}"
                 )
-    welfare = sum(utilities.values())
+    welfare = sum(derived_utilities.values())
     if solution.social_welfare != welfare:
         raise DocumentError(
             f"stored social_welfare {solution.social_welfare} != derived {welfare}"

@@ -266,6 +266,7 @@ class ParsedSolution:
     allocation: Allocation
     market_prices: Mapping[BuyerId, Money]
     deltas: Mapping[BuyerId, Fraction]
+    final_prices: Mapping[BuyerId, Fraction]
     utilities: Mapping[BuyerId, Money]
     surpluses: Mapping[BuyerId, Money]
     group_transfers: GroupTransfers
@@ -308,6 +309,7 @@ def solution_from_dict(data: Any) -> ParsedSolution:
         raise DocumentError("buyers: expected an object")
     market_prices: dict[BuyerId, Money] = {}
     deltas: dict[BuyerId, Fraction] = {}
+    final_prices: dict[BuyerId, Fraction] = {}
     utilities: dict[BuyerId, Money] = {}
     surpluses: dict[BuyerId, Money] = {}
     for bid, entry in buyers_obj.items():
@@ -323,7 +325,7 @@ def solution_from_dict(data: Any) -> ParsedSolution:
         deltas[bid] = rational_from_str(_get(obj, "delta", where))
         utilities[bid] = _as_int(_get(obj, "utility", where), f"{where}.utility")
         surpluses[bid] = _as_int(_get(obj, "surplus", where), f"{where}.surplus")
-        rational_from_str(_get(obj, "final_price", where))
+        final_prices[bid] = rational_from_str(_get(obj, "final_price", where))
 
     gt_entries = {}
     for i, entry in enumerate(
@@ -364,6 +366,7 @@ def solution_from_dict(data: Any) -> ParsedSolution:
         allocation=Allocation(choice=choice),
         market_prices=market_prices,
         deltas=deltas,
+        final_prices=final_prices,
         utilities=utilities,
         surpluses=surpluses,
         group_transfers=GroupTransfers(entries=gt_entries),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Iterable, Mapping
 
 Money = int
 VendorId = str
@@ -126,9 +126,6 @@ class Allocation:
     """A total assignment of each buyer to a length-c vendor tuple."""
 
     choice: Mapping[BuyerId, VendorTuple]
-
-    def of(self, buyer_id: BuyerId) -> VendorTuple:
-        return self.choice[buyer_id]
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,19 +251,30 @@ def _choice_of(market: Market, alloc: Allocation, buyer_id: BuyerId) -> VendorTu
     return choice
 
 
+def cell_demand(
+    market: Market, cells: Iterable[tuple[VendorTuple, int]]
+) -> dict[VendorId, tuple[int, ...]]:
+    """Per-vendor counts of buyers purchasing each item type from it, where
+    each ``(choice, n)`` pair stands for ``n`` buyers purchasing ``choice``."""
+    counts: dict[VendorId, list[int]] = {
+        v.id: [0] * market.c for v in market.vendors
+    }
+    try:
+        for choice, n in cells:
+            for k, vid in enumerate(choice):
+                counts[vid][k] += n
+    except KeyError as exc:
+        raise ValueError(f"unknown vendor id {exc.args[0]!r} in allocation") from None
+    return {vid: tuple(c) for vid, c in counts.items()}
+
+
 def demand_vectors(
     market: Market, alloc: Allocation
 ) -> dict[VendorId, tuple[int, ...]]:
     """Per-vendor counts of buyers purchasing each item type from it."""
-    counts: dict[VendorId, list[int]] = {
-        v.id: [0] * market.c for v in market.vendors
-    }
-    for buyer in market.buyers:
-        for k, vid in enumerate(_choice_of(market, alloc, buyer.id)):
-            if vid not in counts:
-                raise ValueError(f"unknown vendor id {vid!r} in allocation")
-            counts[vid][k] += 1
-    return {vid: tuple(c) for vid, c in counts.items()}
+    return cell_demand(
+        market, ((_choice_of(market, alloc, b), 1) for b in market.buyer_ids)
+    )
 
 
 def triggered_tiers(
@@ -306,25 +314,27 @@ def market_price_of_choice(
         ) from None
 
 
-def buyer_market_price(market: Market, alloc: Allocation, buyer_id: BuyerId) -> Money:
+def market_prices(market: Market, alloc: Allocation) -> dict[BuyerId, Money]:
+    """Each buyer's market price under ``alloc``, from the tiers that the
+    whole allocation's demand triggers."""
     trig = triggered(market, alloc)
-    return market_price_of_choice(market, _choice_of(market, alloc, buyer_id), trig)
+    return {
+        b: market_price_of_choice(market, alloc.choice[b], trig)
+        for b in market.buyer_ids
+    }
 
 
-def utility(market: Market, alloc: Allocation, buyer_id: BuyerId) -> Money:
-    trig = triggered(market, alloc)
-    buyer = market.buyer(buyer_id)
-    choice = _choice_of(market, alloc, buyer_id)
-    return buyer.valuation(choice) - market_price_of_choice(market, choice, trig)
+def utilities(market: Market, alloc: Allocation) -> dict[BuyerId, Money]:
+    """Each buyer's valuation of her choice minus her market price."""
+    prices = market_prices(market, alloc)
+    return {
+        buyer.id: buyer.valuation(alloc.choice[buyer.id]) - prices[buyer.id]
+        for buyer in market.buyers
+    }
 
 
 def social_welfare(market: Market, alloc: Allocation) -> Money:
-    trig = triggered(market, alloc)
-    total = 0
-    for buyer in market.buyers:
-        choice = _choice_of(market, alloc, buyer.id)
-        total += buyer.valuation(choice) - market_price_of_choice(market, choice, trig)
-    return total
+    return sum(utilities(market, alloc).values())
 
 
 def best_alternative(market: Market, buyer_id: BuyerId) -> tuple[VendorTuple, Money]:
@@ -345,38 +355,31 @@ def best_alternative(market: Market, buyer_id: BuyerId) -> tuple[VendorTuple, Mo
     return best_choice, best_value
 
 
-def surplus(market: Market, alloc: Allocation, buyer_id: BuyerId) -> Money:
-    """Current utility minus the best base-price alternative's utility."""
-    return utility(market, alloc, buyer_id) - best_alternative(market, buyer_id)[1]
-
-
 def all_surpluses(market: Market, alloc: Allocation) -> dict[BuyerId, Money]:
-    trig = triggered(market, alloc)
-    result: dict[BuyerId, Money] = {}
-    for buyer in market.buyers:
-        choice = _choice_of(market, alloc, buyer.id)
-        u = buyer.valuation(choice) - market_price_of_choice(market, choice, trig)
-        result[buyer.id] = u - best_alternative(market, buyer.id)[1]
-    return result
+    """Each buyer's utility minus her best base-price alternative's."""
+    return {
+        b: u - best_alternative(market, b)[1]
+        for b, u in utilities(market, alloc).items()
+    }
 
 
 def group_partition(market: Market, alloc: Allocation) -> GroupPartition:
-    """Split buyers into positive bundle groups and negative choice groups."""
-    trig = triggered(market, alloc)
+    """Split buyers into positive bundle groups and negative choice groups.
+
+    A buyer paying base prices is worth at most her best alternative, so a
+    positive surplus means a triggered full bundle from ``choice[0]``.
+    """
     sigma = all_surpluses(market, alloc)
 
     positive: dict[VendorId, list[BuyerId]] = {}
     negative: dict[VendorTuple, list[BuyerId]] = {}
-    for buyer in market.buyers:
-        choice = alloc.choice[buyer.id]
-        sb = sigma[buyer.id]
+    for b, sb in sigma.items():
+        choice = alloc.choice[b]
         if sb > 0:
-            first = choice[0]
-            if all(vid == first for vid in choice) and trig.get(first, 0) > 0:
-                positive.setdefault(first, []).append(buyer.id)
+            positive.setdefault(choice[0], []).append(b)
         elif sb < 0:
             x = tuple(sorted(set(choice)))
-            negative.setdefault(x, []).append(buyer.id)
+            negative.setdefault(x, []).append(b)
 
     positive_sorted = {s: tuple(sorted(ids)) for s, ids in sorted(positive.items())}
     negative_sorted = {x: tuple(sorted(ids)) for x, ids in sorted(negative.items())}

@@ -22,6 +22,7 @@ from .model import (
     Market,
     Money,
     VendorTuple,
+    cell_demand,
     market_price_of_choice,
     triggered_tiers,
 )
@@ -176,29 +177,17 @@ def assignment_network(market: Market, partition: Partition) -> FlowNetwork:
     return _AssignmentLayout(market).network(_counts_of(market, partition))
 
 
-def _demand_of_partition(
-    market: Market, partition: Partition
-) -> dict[str, tuple[int, ...]]:
-    demand: dict[str, list[int]] = {v.id: [0] * market.c for v in market.vendors}
-    for choice, n in partition.counts.items():
-        if n == 0:
-            continue
-        for k, vid in enumerate(choice):
-            demand[vid][k] += n
-    return {vid: tuple(d) for vid, d in demand.items()}
-
-
 def total_price(market: Market, partition: Partition) -> Money:
     """Total buyer payments implied by the partition alone.
 
     Every assignment matching the counts produces the same demand vectors,
     hence the same triggered discounts and the same per-cell prices.
     """
-    trig = triggered_tiers(market, _demand_of_partition(market, partition))
+    cells = [(choice, n) for choice, n in partition.counts.items() if n]
+    trig = triggered_tiers(market, cell_demand(market, cells))
     total = 0
-    for choice, n in partition.counts.items():
-        if n:
-            total += n * market_price_of_choice(market, choice, trig)
+    for choice, n in cells:
+        total += n * market_price_of_choice(market, choice, trig)
     return total
 
 

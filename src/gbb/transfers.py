@@ -24,8 +24,7 @@ from .model import (
     VendorId,
     VendorTuple,
     group_partition,
-    triggered,
-    market_price_of_choice,
+    market_prices,
 )
 
 
@@ -261,10 +260,8 @@ def price_vector(
 ) -> PriceVector:
     """Each buyer's market price under ``alloc`` (from the tiers it
     triggers) plus her delta."""
-    trig = triggered(market, alloc)
     entries: dict[BuyerId, PriceEntry] = {}
-    for b in market.buyer_ids:
-        base = market_price_of_choice(market, alloc.choice[b], trig)
+    for b, base in market_prices(market, alloc).items():
         delta = deltas[b]
         entries[b] = PriceEntry(market_price=base, delta=delta, final=base + delta)
     return PriceVector(entries=entries)

@@ -20,6 +20,7 @@ from .model import (
     GroupPartition,
     Market,
     Money,
+    VendorTuple,
     all_surpluses,
     group_partition,
 )
@@ -125,9 +126,11 @@ def check_group_condition(gp: GroupPartition, gt: GroupTransfers) -> CheckResult
     """Budget per vendor, exact coverage per group, no cross transfers."""
     witnesses = []
     budget_use: dict[str, Money] = {}
+    received: dict[VendorTuple, Money] = dict.fromkeys(gp.negative_totals, 0)
     for (s, x), amount in gt.entries.items():
         if s in x:
             budget_use[s] = budget_use.get(s, 0) + amount
+            received[x] = received.get(x, 0) + amount
         elif amount > 0:
             witnesses.append(
                 f"cross transfer: vendor {s} pays {amount} to group "
@@ -139,10 +142,8 @@ def check_group_condition(gp: GroupPartition, gt: GroupTransfers) -> CheckResult
             witnesses.append(
                 f"vendor {s}: transfers {used} exceed group surplus {available}"
             )
-    groups = set(gp.negative_totals) | {x for (_, x) in gt.entries}
-    for x in sorted(groups):
+    for x, got in sorted(received.items()):
         needed = gp.negative_totals.get(x, 0)
-        got = sum(a for (s, g), a in gt.entries.items() if g == x and s in g)
         if got != needed:
             witnesses.append(
                 f"group {{{','.join(x)}}}: receives {got}, needs exactly {needed}"

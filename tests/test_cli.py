@@ -209,7 +209,10 @@ def test_verify_detects_tampered_delta(capsys, fix_e1_path, tmp_path):
     sol = tmp_path / "sol.json"
     main(["solve", fix_e1_path, "--out", str(sol)])
     doc = json.loads(sol.read_text())
+    # market price 5 plus the tampered delta, so the document stays
+    # self-consistent and reaches the certificate
     doc["buyers"]["b1"]["delta"] = "2"
+    doc["buyers"]["b1"]["final_price"] = "7"
     sol.write_text(json.dumps(doc))
     code, out, _ = run(capsys, ["verify", fix_e1_path, str(sol)])
     assert code == 1
@@ -225,6 +228,7 @@ def test_verify_rejects_stored_fields_that_contradict_the_instance(
     sol = tmp_path / "sol.json"
     for buyer, field, value in (
         ("b1", "market_price", 1),
+        ("b1", "final_price", "99"),
         ("b1", "utility", 77),
         ("b1", "surplus", -5),
         (None, "social_welfare", 12345),

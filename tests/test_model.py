@@ -10,20 +10,23 @@ from gbb.model import (
     Allocation,
     Buyer,
     DiscountTier,
+    GroupPartition,
     Market,
     NULL_VENDOR,
     Vendor,
+    all_surpluses,
     best_alternative,
-    buyer_market_price,
     demand_vectors,
     group_partition,
     market_price_of_choice,
+    market_prices,
     social_welfare,
-    surplus,
     triggered,
-    utility,
+    triggered_tiers,
+    utilities,
     validate_market,
 )
+from gbb.swm import Partition, solve_swm, total_price
 
 MU_A = Allocation({"b1": ("s1", "s1"), "b2": ("s1", "s1")})
 MU_STAR = Allocation(
@@ -160,8 +163,8 @@ def test_triggered_needs_every_component():
 
 
 def test_buyer_market_price(fix_e1, fix_e2):
-    assert buyer_market_price(fix_e1, MU_A, "b1") == 5
-    assert buyer_market_price(fix_e2, MU_STAR, "b3") == 7
+    assert market_prices(fix_e1, MU_A)["b1"] == 5
+    assert market_prices(fix_e2, MU_STAR)["b3"] == 7
     alloc = Allocation(
         {
             "b1": (NULL_VENDOR, NULL_VENDOR),
@@ -169,7 +172,7 @@ def test_buyer_market_price(fix_e1, fix_e2):
             "b3": (NULL_VENDOR, NULL_VENDOR),
         }
     )
-    assert buyer_market_price(fix_e2, alloc, "b1") == 0
+    assert market_prices(fix_e2, alloc)["b1"] == 0
 
 
 def test_utility_and_social_welfare(fix_e1, fix_e2):
@@ -177,8 +180,7 @@ def test_utility_and_social_welfare(fix_e1, fix_e2):
     assert exhaustive_best_welfare(fix_e1) == 6
     assert exhaustive_best_welfare(fix_e2) == 9
 
-    assert utility(fix_e1, MU_A, "b1") == 5
-    assert utility(fix_e1, MU_A, "b2") == 1
+    assert utilities(fix_e1, MU_A) == {"b1": 5, "b2": 1}
     assert social_welfare(fix_e1, MU_A) == 6
     assert social_welfare(fix_e2, MU_STAR) == 9
 
@@ -214,16 +216,15 @@ def test_best_alternative_ties_go_to_the_smallest_tuple():
 
 
 def test_surplus(fix_e1, fix_e2):
-    assert surplus(fix_e1, MU_A, "b1") == 3
-    assert surplus(fix_e1, MU_A, "b2") == -1
-    assert [surplus(fix_e2, MU_STAR, b) for b in ("b1", "b2", "b3")] == [4, 4, -2]
+    assert all_surpluses(fix_e1, MU_A) == {"b1": 3, "b2": -1}
+    assert all_surpluses(fix_e2, MU_STAR) == {"b1": 4, "b2": 4, "b3": -2}
 
 
 def test_surplus_zero_when_choice_is_best_alternative(fix_e1):
     alloc = Allocation({"b1": ("s1", "s1"), "b2": ("s2", "s2")})
     # no discount triggers, so b2 sits exactly at her best alternative
     assert triggered(fix_e1, alloc)["s1"] == 0
-    assert surplus(fix_e1, alloc, "b2") == 0
+    assert all_surpluses(fix_e1, alloc)["b2"] == 0
 
 
 def test_group_partition(fix_e1, fix_e2):
@@ -279,6 +280,7 @@ def test_nonbundle_buyers_never_have_positive_surplus():
         )
         alloc = _random_allocation(rng, market)
         trig = triggered(market, alloc)
+        sigma = all_surpluses(market, alloc)
         for buyer in market.buyers:
             choice = alloc.choice[buyer.id]
             bundled = (
@@ -286,7 +288,7 @@ def test_nonbundle_buyers_never_have_positive_surplus():
                 and trig.get(choice[0], 0) > 0
             )
             if not bundled:
-                assert surplus(market, alloc, buyer.id) <= 0
+                assert sigma[buyer.id] <= 0
 
 
 def test_demand_monotone_in_group_membership(fix_e1):
@@ -300,3 +302,136 @@ def test_market_price_of_choice_rejects_unknown_vendor(fix_e1):
     assert market_price_of_choice(fix_e1, ("s1", "s2"), trig) == 7
     with pytest.raises(ValueError, match="unknown vendor id 'zz'"):
         market_price_of_choice(fix_e1, ("s1", "zz"), trig)
+
+
+# --- per-buyer reference pricing ----------------------------------------------
+# The pricing bodies as they were before one market-price pass served every
+# caller: each per-buyer function re-derives the whole allocation's demand,
+# and the partition price folds its own demand.
+
+
+def reference_demand_vectors(market, alloc):
+    counts = {v.id: [0] * market.c for v in market.vendors}
+    for buyer in market.buyers:
+        for k, vid in enumerate(alloc.choice[buyer.id]):
+            counts[vid][k] += 1
+    return {vid: tuple(c) for vid, c in counts.items()}
+
+
+def reference_buyer_market_price(market, alloc, buyer_id):
+    trig = triggered_tiers(market, reference_demand_vectors(market, alloc))
+    return market_price_of_choice(market, alloc.choice[buyer_id], trig)
+
+
+def reference_utility(market, alloc, buyer_id):
+    buyer = market.buyer(buyer_id)
+    choice = alloc.choice[buyer_id]
+    return buyer.valuation(choice) - reference_buyer_market_price(
+        market, alloc, buyer_id
+    )
+
+
+def reference_surplus(market, alloc, buyer_id):
+    return reference_utility(market, alloc, buyer_id) - best_alternative(
+        market, buyer_id
+    )[1]
+
+
+def reference_group_partition(market, alloc):
+    trig = triggered_tiers(market, reference_demand_vectors(market, alloc))
+    sigma = {b.id: reference_surplus(market, alloc, b.id) for b in market.buyers}
+    positive, negative = {}, {}
+    for buyer in market.buyers:
+        choice = alloc.choice[buyer.id]
+        sb = sigma[buyer.id]
+        if sb > 0:
+            first = choice[0]
+            if all(vid == first for vid in choice) and trig.get(first, 0) > 0:
+                positive.setdefault(first, []).append(buyer.id)
+        elif sb < 0:
+            negative.setdefault(tuple(sorted(set(choice))), []).append(buyer.id)
+    positive_sorted = {s: tuple(sorted(ids)) for s, ids in sorted(positive.items())}
+    negative_sorted = {x: tuple(sorted(ids)) for x, ids in sorted(negative.items())}
+    return GroupPartition(
+        positive_groups=positive_sorted,
+        positive_totals={
+            s: sum(sigma[b] for b in ids) for s, ids in positive_sorted.items()
+        },
+        negative_groups=negative_sorted,
+        negative_totals={
+            x: -sum(sigma[b] for b in ids) for x, ids in negative_sorted.items()
+        },
+        surplus=sigma,
+    )
+
+
+def reference_total_price(market, partition):
+    demand = {v.id: [0] * market.c for v in market.vendors}
+    for choice, n in partition.counts.items():
+        if n == 0:
+            continue
+        for k, vid in enumerate(choice):
+            demand[vid][k] += n
+    trig = triggered_tiers(market, {vid: tuple(d) for vid, d in demand.items()})
+    total = 0
+    for choice, n in partition.counts.items():
+        if n:
+            total += n * market_price_of_choice(market, choice, trig)
+    return total
+
+
+def test_pricing_agrees_with_per_buyer_reference():
+    rng = random.Random(808)
+    positive_groups = 0
+    for trial in range(200):
+        market = generate_instance(
+            buyers=rng.randint(1, 5),
+            vendors=rng.randint(1, 2),
+            items=rng.randint(1, 2),
+            seed=8000 + trial,
+            max_value=rng.choice((6, 15)),
+        )
+        for alloc in (solve_swm(market).allocation, _random_allocation(rng, market)):
+            ids = market.buyer_ids
+            assert market_prices(market, alloc) == {
+                b: reference_buyer_market_price(market, alloc, b) for b in ids
+            }
+            expected_utilities = {b: reference_utility(market, alloc, b) for b in ids}
+            assert utilities(market, alloc) == expected_utilities
+            assert all_surpluses(market, alloc) == {
+                b: reference_surplus(market, alloc, b) for b in ids
+            }
+            assert social_welfare(market, alloc) == sum(expected_utilities.values())
+
+            cells = market.vendor_tuples
+            chosen = list(alloc.choice.values())
+            part = Partition({cell: chosen.count(cell) for cell in cells})
+            assert total_price(market, part) == reference_total_price(market, part)
+
+            gp = group_partition(market, alloc)
+            ref = reference_group_partition(market, alloc)
+            for field in (
+                "positive_groups",
+                "positive_totals",
+                "negative_groups",
+                "negative_totals",
+                "surplus",
+            ):
+                got, want = getattr(gp, field), getattr(ref, field)
+                assert list(got.items()) == list(want.items()), (trial, field)
+            positive_groups += bool(gp.positive_groups)
+    assert positive_groups >= 50
+
+
+def test_group_partition_derives_the_tiers_once(fix_e2, monkeypatch):
+    import gbb.model
+
+    calls = []
+
+    def counting(market, alloc):
+        calls.append(alloc)
+        return triggered(market, alloc)
+
+    monkeypatch.setattr(gbb.model, "triggered", counting)
+    assert group_partition(fix_e2, MU_STAR).positive_groups == {"s1": ("b1", "b2")}
+    assert len(calls) == 1

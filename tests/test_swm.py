@@ -12,7 +12,7 @@ from gbb.model import (
     Market,
     NULL_VENDOR,
     Vendor,
-    buyer_market_price,
+    market_prices,
     social_welfare,
 )
 from gbb.swm import (
@@ -103,7 +103,7 @@ def test_total_price_constant_across_assignments(fix_e2):
 
     for perm in itertools.permutations(slots):
         alloc = Allocation(dict(zip(ids, perm)))
-        paid = sum(buyer_market_price(fix_e2, alloc, b) for b in ids)
+        paid = sum(market_prices(fix_e2, alloc).values())
         assert paid == expected
 
 

@@ -336,3 +336,75 @@ def test_certify_derives_the_group_partition_at_most_once(fix_e2, monkeypatch):
     assert calls == {"all_surpluses": 0, "group_partition": 0}
     assert certify(fix_e2, MU_STAR, prices, gt, matrix).all_passed
     assert calls == {"all_surpluses": 0, "group_partition": 1}
+
+
+def reference_group_condition(gp, gt):
+    """The group-condition check as it was before its one-pass fold: every
+    group re-sums all group-transfer entries."""
+    witnesses = []
+    budget_use = {}
+    for (s, x), amount in gt.entries.items():
+        if s in x:
+            budget_use[s] = budget_use.get(s, 0) + amount
+        elif amount > 0:
+            witnesses.append(
+                f"cross transfer: vendor {s} pays {amount} to group "
+                f"{{{','.join(x)}}} it does not belong to"
+            )
+    for s, used in sorted(budget_use.items()):
+        available = gp.positive_totals.get(s, 0)
+        if used > available:
+            witnesses.append(
+                f"vendor {s}: transfers {used} exceed group surplus {available}"
+            )
+    groups = set(gp.negative_totals) | {x for (_, x) in gt.entries}
+    for x in sorted(groups):
+        needed = gp.negative_totals.get(x, 0)
+        got = sum(a for (s, g), a in gt.entries.items() if g == x and s in g)
+        if got != needed:
+            witnesses.append(
+                f"group {{{','.join(x)}}}: receives {got}, needs exactly {needed}"
+            )
+    return witnesses
+
+
+def perturbed_group_transfers(rng, market, gt):
+    """The solved group transfers, then variants with one amount moved by
+    one or dropped, an added cross entry, and an added entry to a group
+    nobody forms."""
+    yield gt
+    entries = dict(gt.entries)
+    if entries:
+        key = rng.choice(sorted(entries))
+        for step in (-1, 1):
+            yield GroupTransfers({**entries, key: max(0, entries[key] + step)})
+        yield GroupTransfers({k: a for k, a in entries.items() if k != key})
+    vendors = sorted(v.id for v in market.real_vendors)
+    s = rng.choice(vendors)
+    others = tuple(v for v in vendors if v != s) or ("null",)
+    yield GroupTransfers({**entries, (s, others): rng.randint(0, 3)})
+    yield GroupTransfers({**entries, (s, (s, "zz")): rng.randint(1, 3)})
+
+
+def test_group_condition_agrees_with_reference():
+    rng = random.Random(77)
+    verdicts = []
+    for trial in range(150):
+        market = generate_instance(
+            buyers=rng.randint(1, 6),
+            vendors=rng.randint(1, 2),
+            items=rng.randint(1, 2),
+            seed=7700 + trial,
+            max_value=15,
+        )
+        alloc = solve_swm(market).allocation
+        gp = group_partition(market, alloc)
+        gt = solve_group_transfers(market, alloc)
+        for variant in perturbed_group_transfers(rng, market, gt):
+            result = check_group_condition(gp, variant)
+            assert list(result.witnesses) == reference_group_condition(
+                gp, variant
+            ), (trial, variant.entries)
+            assert result.passed != bool(result.witnesses)
+            verdicts.append(result.passed)
+    assert 50 <= sum(verdicts) <= len(verdicts) - 50, sum(verdicts)
