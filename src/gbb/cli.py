@@ -29,6 +29,7 @@ from .documents import (
 from .generate import generate_instance
 from .model import (
     Allocation,
+    BuyerId,
     Market,
     Money,
     group_partition,
@@ -37,6 +38,7 @@ from .model import (
 )
 from .swm import BudgetExceeded, brute_force_swm, partition_count, solve_swm
 from .transfers import (
+    PriceVector,
     Unstabilizable,
     fair_buyer_transfers,
     price_vector,
@@ -70,6 +72,10 @@ def _load_valid_instance(path: str) -> Market:
     return market
 
 
+def _market_prices(prices: PriceVector) -> dict[BuyerId, Money]:
+    return {b: entry.market_price for b, entry in prices.entries.items()}
+
+
 def _solve_and_emit(
     args: argparse.Namespace,
     solver: str,
@@ -88,7 +94,7 @@ def _solve_and_emit(
     solved = time.perf_counter()
 
     gp = group_partition(market, alloc)
-    gt = solve_group_transfers(market, alloc)
+    gt = solve_group_transfers(market, alloc, gp)
     matrix = fair_buyer_transfers(market, alloc, gp, gt)
     prices = prices_from_transfers(market, alloc, matrix)
     report = None
@@ -112,7 +118,7 @@ def _solve_and_emit(
         social_welfare=welfare,
         allocation=alloc,
         prices=prices,
-        utilities=utilities(market, alloc),
+        utilities=utilities(market, alloc, _market_prices(prices)),
         surpluses=dict(gp.surplus),
         group_transfers=gt,
         matrix=matrix,
@@ -192,7 +198,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise DocumentError(str(exc)) from exc
     # The fields no check reads must still be the ones the instance and the
     # stored deltas give.
-    derived_utilities = utilities(market, solution.allocation)
+    derived_utilities = utilities(
+        market, solution.allocation, _market_prices(prices)
+    )
     for b in market.buyer_ids:
         entry = prices.entries[b]
         for field, stored, derived in (

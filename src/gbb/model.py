@@ -324,9 +324,18 @@ def market_prices(market: Market, alloc: Allocation) -> dict[BuyerId, Money]:
     }
 
 
-def utilities(market: Market, alloc: Allocation) -> dict[BuyerId, Money]:
-    """Each buyer's valuation of her choice minus her market price."""
-    prices = market_prices(market, alloc)
+def utilities(
+    market: Market,
+    alloc: Allocation,
+    prices: Mapping[BuyerId, Money] | None = None,
+) -> dict[BuyerId, Money]:
+    """Each buyer's valuation of her choice minus her market price.
+
+    Given ``prices`` must be ``market_prices(market, alloc)``; without them
+    they are derived here.
+    """
+    if prices is None:
+        prices = market_prices(market, alloc)
     return {
         buyer.id: buyer.valuation(alloc.choice[buyer.id]) - prices[buyer.id]
         for buyer in market.buyers
@@ -355,11 +364,25 @@ def best_alternative(market: Market, buyer_id: BuyerId) -> tuple[VendorTuple, Mo
     return best_choice, best_value
 
 
+def _best_alternative_value(market: Market, buyer: Buyer) -> Money:
+    """``best_alternative(market, buyer.id)[1]`` from the buyer's valued
+    tuples alone: any other tuple is worth at most 0 at base prices, and
+    the all-null tuple exactly 0."""
+    bases = market.tuple_base_prices
+    best = 0
+    for choice, value in buyer.valuations.items():
+        base = bases.get(choice)
+        if base is not None and value - base > best:
+            best = value - base
+    return best
+
+
 def all_surpluses(market: Market, alloc: Allocation) -> dict[BuyerId, Money]:
     """Each buyer's utility minus her best base-price alternative's."""
+    u = utilities(market, alloc)
     return {
-        b: u - best_alternative(market, b)[1]
-        for b, u in utilities(market, alloc).items()
+        buyer.id: u[buyer.id] - _best_alternative_value(market, buyer)
+        for buyer in market.buyers
     }
 
 

@@ -1,10 +1,27 @@
 """Social-welfare-maximizing allocations.
 
 The solver conditions on a *partition*: the number of buyers assigned to
-each vendor tuple.  For a fixed partition the welfare-maximal assignment
-is a min-cost max-flow on a small bipartite network, and the outer loop
-enumerates every feasible partition, solving that flow only where a cheap
-upper bound says the partition could match or beat the best found so far.
+each vendor tuple (cell).  For a fixed partition the welfare-maximal
+assignment is a min-cost max-flow on a small bipartite network.
+
+A depth-first search covers every partition in ``enumerate_partitions``
+order: the first cell's count runs down from N, then the search recurses
+on the remaining cells.  The path carries the base-price sum and each
+tiered vendor's per-item demand, so a leaf's price is that sum less, per
+vendor, its full-bundle count times the discount of the highest tier the
+demand meets; ``total_price`` stays as the reference.  A leaf gets its
+flow only when ``_AssignmentLayout.upper_bound`` minus its price reaches
+the incumbent.  An interior node with cells ``< k`` fixed and ``r`` buyers
+left is skipped with its whole subtree when the fixed cells' best values
+net of their lowest possible prices, plus the ``r`` best such values over
+the open cells, fall strictly below the incumbent.  That bound is at least
+every leaf bound below it, so a skipped subtree holds only leaves whose
+flow would be skipped anyway: the flows solved, the welfare and the
+chosen partition are those of pricing every leaf.
+
+``SwmResult.partitions_evaluated`` counts partitions covered, priced or
+ruled out with their subtree, and always equals ``partitions_total``;
+``partitions_priced`` counts leaves priced, and ``flows_solved`` flows.
 A brute-force enumerator over whole allocations serves as the independent
 oracle at desk scale.
 """
@@ -206,6 +223,7 @@ class SwmResult:
     partition: Partition
     partitions_total: int
     partitions_evaluated: int
+    partitions_priced: int
     flows_solved: int
 
 
@@ -215,12 +233,16 @@ def solve_swm(
     jobs: int = 1,
     progress: Callable[[int, int], None] | None = None,
 ) -> SwmResult:
-    """Exact welfare maximization by enumerating every feasible partition.
+    """Exact welfare maximization over every feasible partition.
 
-    Every partition is priced; only those whose welfare upper bound reaches
-    the incumbent get a min-cost flow.  Equal-welfare ties resolve to the
-    lexicographically smallest partition; the per-partition assignment is
-    deterministic, so results are reproducible run to run.
+    A depth-first search covers the partitions in enumeration order, prices
+    each leaf it reaches from the demand carried down its path and skips
+    every subtree whose welfare bound is below the incumbent; only leaves
+    whose own bound reaches the incumbent get a min-cost flow.  Equal-welfare
+    ties resolve to the lexicographically smallest partition; the
+    per-partition assignment is deterministic, so results are reproducible
+    run to run.  ``progress(covered, total)`` fires once per 1 000
+    partitions covered.
     """
     n = len(market.buyers)
     cells = len(market.vendor_tuples)
@@ -229,9 +251,9 @@ def solve_swm(
         raise BudgetExceeded(total, max_partitions)
 
     if jobs > 1 and total > 1:
-        best, flows = _solve_parallel(market, total, jobs)
+        best, flows, priced = _solve_parallel(market, total, jobs)
     else:
-        best, flows = _solve_slice(market, 0, total, progress)
+        best, flows, priced = _solve_slice(market, 0, total, progress)
     welfare, counts, choice = best
     partition = _partition_of(market, counts)
     return SwmResult(
@@ -240,8 +262,168 @@ def solve_swm(
         partition=partition,
         partitions_total=total,
         partitions_evaluated=total,
+        partitions_priced=priced,
         flows_solved=flows,
     )
+
+
+class _PartitionSearch:
+    """One market's depth-first partition search; see the module docstring.
+
+    The tables are built once per market: each cell's base price and demand
+    indices, each tiered vendor's tier ladder, and the subtree bound's
+    tables.  The bound charges each cell its lowest possible price: the
+    lowest tier price for a full-bundle cell, the base price otherwise.
+    """
+
+    def __init__(self, market: Market) -> None:
+        self.layout = layout = _AssignmentLayout(market)
+        cells = market.vendor_tuples
+        c = market.c
+        n = len(market.buyers)
+        tiered = [v for v in market.real_vendors if v.tiers]
+        offset = {v.id: i * c for i, v in enumerate(tiered)}
+        self.demand_size = len(tiered) * c
+        self.base = [market.tuple_base_prices[choice] for choice in cells]
+        # Demand indices that a buyer in each cell adds one to.
+        self.slots = [
+            tuple(offset[vid] + k for k, vid in enumerate(choice) if vid in offset)
+            for choice in cells
+        ]
+        # Per tiered vendor: its full-bundle cell and, from the highest tier
+        # down, the (demand index, threshold) pairs to meet and the discount.
+        self.bundles = []
+        low = list(self.base)
+        for v in tiered:
+            cell = cells.index((v.id,) * c)
+            at = offset[v.id]
+            ladder = [
+                (
+                    tuple(
+                        (i, t)
+                        for i, t in zip(range(at, at + c), tier.thresholds)
+                        if t > 0
+                    ),
+                    v.base_bundle_price - tier.bundle_price,
+                )
+                for tier in reversed(v.tiers)
+            ]
+            self.bundles.append((cell, ladder))
+            low[cell] -= max(0, *(discount for _, discount in ladder))
+        # adj[j][m]: the m highest values of cell j, each less p_lo(j).
+        self.adj = [
+            [top - m * price for m, top in enumerate(sums)]
+            for sums, price in zip(layout.top, low)
+        ]
+        # suffix[k][r]: the r highest adjusted values over cells k and later.
+        self.suffix = [[0]] * (len(cells) + 1)
+        pool: list[Money] = []
+        for k in range(len(cells) - 1, 0, -1):
+            steps = [b - a for a, b in zip(self.adj[k], self.adj[k][1:])]
+            pool = sorted(pool + steps, reverse=True)[:n]
+            self.suffix[k] = list(itertools.accumulate(pool, initial=0))
+        # sizes[left][r]: leaves under a node with ``left`` cells open.
+        self.sizes = [[int(r == 0) for r in range(n + 1)]] + [
+            [partition_count(r, left) for r in range(n + 1)]
+            for left in range(1, len(cells) + 1)
+        ]
+        self.best: tuple | None = None
+        self.flows = 0
+        self.priced = 0
+
+    def run(
+        self,
+        lo: int,
+        hi: int,
+        progress: Callable[[int, int], None] | None = None,
+    ) -> None:
+        """Search the compositions ``lo`` to ``hi - 1`` of the order.
+
+        The search keeps an explicit stack, one level per cell, so that its
+        depth is not bounded by Python's recursion limit.
+        """
+        base, slots, adj, suffix = self.base, self.slots, self.adj, self.suffix
+        bundles, sizes, leaf = self.bundles, self.sizes, self._leaf
+        last = len(base) - 1
+        counts = [0] * len(base)
+        demand = [0] * self.demand_size
+        # Per level k, over the cells before k: buyers left, the sum of
+        # their adj entries and the sum of their base prices.
+        left = [len(self.layout.market.buyers)] + [0] * last
+        bound = [0] * len(base)
+        paid = [0] * len(base)
+        pos = 0  # ordinal of the next composition in the order
+        mark = 1000
+
+        def advance(size: int) -> None:
+            nonlocal pos, mark
+            pos += size
+            while progress is not None and mark <= pos - lo:
+                progress(mark, hi - lo)
+                mark += 1000
+
+        k, m = 0, left[0] + 1
+        while True:
+            m -= 1
+            if m < (left[k] if k == last else 0):
+                # Cell k is exhausted: clear it and resume the cell before.
+                for i in slots[k]:
+                    demand[i] -= counts[k]
+                counts[k] = 0
+                if k == 0:
+                    return
+                k -= 1
+                m = counts[k]
+                continue
+            if pos >= hi:
+                return
+            rest = left[k] - m
+            size = sizes[last - k][rest]
+            if pos + size <= lo:
+                advance(size)
+                continue
+            child = bound[k] + adj[k][m]
+            best = self.best
+            if best is not None and child + suffix[k + 1][rest] < best[0]:
+                advance(size)
+                continue
+            for i in slots[k]:
+                demand[i] += m - counts[k]
+            counts[k] = m
+            if k < last:
+                k += 1
+                left[k], bound[k], paid[k] = rest, child, paid[k - 1] + m * base[k - 1]
+                m = rest + 1
+                continue
+            price = paid[k] + m * base[k]
+            for cell, ladder in bundles:
+                n_bundle = counts[cell]
+                if n_bundle:
+                    for pairs, discount in ladder:
+                        if all(demand[i] >= t for i, t in pairs):
+                            price -= n_bundle * discount
+                            break
+            leaf(counts, price)
+            advance(1)
+
+    def _leaf(self, counts: list[int], price: Money) -> None:
+        """Price-known leaf: solve its flow unless its bound rules it out."""
+        self.priced += 1
+        best = self.best
+        # Beating the incumbent needs an assignment worth ``needed``; the
+        # flow is skipped only when the bound is strictly below it, so an
+        # equal-welfare partition still reaches the tie rule below.
+        needed = None if best is None else best[0] + price
+        key = tuple(counts)
+        if needed is None or self.layout.upper_bound(key, needed) >= needed:
+            choice, value = self.layout.solve(key)
+            self.flows += 1
+            welfare = value - price
+            # Leaves come in lexicographically descending order, so
+            # replacing the incumbent on equal welfare leaves the
+            # lexicographically smallest partition as the winner.
+            if best is None or welfare >= best[0]:
+                self.best = (welfare, key, choice)
 
 
 def _solve_slice(
@@ -250,33 +432,11 @@ def _solve_slice(
     hi: int,
     progress: Callable[[int, int], None] | None = None,
 ) -> tuple:
-    """Best (welfare, counts, choice) over compositions ``lo`` to ``hi - 1``
-    and the number of min-cost flows solved on the way.
-    """
-    layout = _AssignmentLayout(market)
-    compositions = enumerate_partitions(
-        len(market.buyers), len(market.vendor_tuples)
-    )
-    best = None
-    flows = 0
-    for done, counts in enumerate(itertools.islice(compositions, lo, hi), 1):
-        price = total_price(market, _partition_of(market, counts))
-        # Beating the incumbent needs an assignment worth ``needed``; the
-        # flow is skipped only when the bound is strictly below it, so an
-        # equal-welfare partition still reaches the tie rule below.
-        needed = None if best is None else best[0] + price
-        if needed is None or layout.upper_bound(counts, needed) >= needed:
-            choice, value = layout.solve(counts)
-            flows += 1
-            welfare = value - price
-            # Enumeration order is lexicographically descending, so
-            # replacing the incumbent on equal welfare leaves the
-            # lexicographically smallest partition as the winner.
-            if best is None or welfare >= best[0]:
-                best = (welfare, counts, choice)
-        if progress is not None and done % 1000 == 0:
-            progress(done, hi - lo)
-    return best, flows
+    """Best (welfare, counts, choice) over compositions ``lo`` to ``hi - 1``,
+    with the numbers of min-cost flows solved and of partitions priced."""
+    search = _PartitionSearch(market)
+    search.run(lo, hi, progress)
+    return search.best, search.flows, search.priced
 
 
 def _solve_parallel(market: Market, total: int, jobs: int):
@@ -291,10 +451,14 @@ def _solve_parallel(market: Market, total: int, jobs: int):
     best = None
     # Merge in slice order: later slices hold lexicographically smaller
     # partitions, so >= keeps the same tie rule as the sequential path.
-    for candidate, _ in results:
+    for candidate, _, _ in results:
         if best is None or candidate[0] >= best[0]:
             best = candidate
-    return best, sum(flows for _, flows in results)
+    return (
+        best,
+        sum(flows for _, flows, _ in results),
+        sum(priced for _, _, priced in results),
+    )
 
 
 def brute_force_swm(

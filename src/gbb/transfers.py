@@ -150,13 +150,17 @@ def group_transfer_network(gp: GroupPartition) -> FlowNetwork:
     return builder.build(source, sink)
 
 
-def solve_group_transfers(market: Market, alloc: Allocation) -> GroupTransfers:
+def solve_group_transfers(
+    market: Market, alloc: Allocation, gp: GroupPartition | None = None
+) -> GroupTransfers:
     """Rational, stabilizing group transfers via max flow.
 
-    Raises Unstabilizable when some group's subsidy cannot be covered,
-    identifying every deficient group.
+    A given ``gp`` must be ``group_partition(market, alloc)``; without one
+    it is derived here.  Raises Unstabilizable when some group's subsidy
+    cannot be covered, identifying every deficient group.
     """
-    gp = group_partition(market, alloc)
+    if gp is None:
+        gp = group_partition(market, alloc)
     net = group_transfer_network(gp)
     flow = max_flow(net)
     gt = GroupTransfers(entries={tag: f for tag, f in flow.tagged() if f > 0})

@@ -109,6 +109,7 @@ def test_solve_unstabilizable_exit(capsys, fix_e1_path, monkeypatch):
             partition=Partition({}),
             partitions_total=1,
             partitions_evaluated=1,
+            partitions_priced=1,
             flows_solved=1,
         )
 
@@ -282,3 +283,25 @@ def test_fixture_documents_match_golden_bytes(fixture, argv, golden, tmp_path):
     assert main([argv[0], instance, *argv[1:], "--out", str(out)]) == 0
     with open(data_path(f"{fixture}.{golden}.json"), "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+def test_solve_and_verify_derive_the_tiers_twice(capsys, fix_e2_path, monkeypatch):
+    # Once for the group partition's surpluses and once for the price
+    # vector; transfers, certify and the stored utilities reuse them.
+    import gbb.model
+
+    calls = []
+    triggered = gbb.model.triggered
+
+    def counting(market, alloc):
+        calls.append(alloc)
+        return triggered(market, alloc)
+
+    monkeypatch.setattr(gbb.model, "triggered", counting)
+    code, _, _ = run(capsys, ["solve", fix_e2_path])
+    assert code == 0
+    assert len(calls) == 2
+    calls.clear()
+    code, _, _ = run(capsys, ["verify", fix_e2_path, data_path("fix_e2.solve.json")])
+    assert code == 0
+    assert len(calls) == 2

@@ -435,3 +435,29 @@ def test_group_partition_derives_the_tiers_once(fix_e2, monkeypatch):
     monkeypatch.setattr(gbb.model, "triggered", counting)
     assert group_partition(fix_e2, MU_STAR).positive_groups == {"s1": ("b1", "b2")}
     assert len(calls) == 1
+
+
+def test_surpluses_take_the_best_alternative_from_valued_tuples():
+    # all_surpluses reads each buyer's valued tuples only; best_alternative
+    # scans every tuple.  Ids sort on both sides of "null" and base prices
+    # include 0, so unvalued tuples tie the all-null floor.
+    rng = random.Random(4242)
+    for trial in range(200):
+        c = rng.randint(1, 3)
+        ids = rng.sample(["A", "kx", "nu", "s1", "z"], rng.randint(1, 3))
+        vendors = [Vendor(vid, tuple(rng.randint(0, 3) for _ in range(c))) for vid in ids]
+        cells = list(itertools.product(ids + [NULL_VENDOR], repeat=c))
+        null_cell = (NULL_VENDOR,) * c
+        buyers = []
+        for b in range(rng.randint(1, 4)):
+            valued = rng.sample(cells, rng.randint(0, min(4, len(cells))))
+            buyers.append(
+                Buyer(f"b{b}", {x: rng.randint(0, 9) for x in valued if x != null_cell})
+            )
+        market = Market.build(c=c, vendors=vendors, buyers=buyers)
+        assert validate_market(market).ok
+        alloc = _random_allocation(rng, market)
+        u = utilities(market, alloc)
+        assert all_surpluses(market, alloc) == {
+            b: u[b] - best_alternative(market, b)[1] for b in market.buyer_ids
+        }, trial

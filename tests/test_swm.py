@@ -1,5 +1,6 @@
 """Partition enumeration and the welfare-maximizing solver."""
 
+import dataclasses
 import math
 import random
 
@@ -18,6 +19,7 @@ from gbb.model import (
 from gbb.swm import (
     BudgetExceeded,
     Partition,
+    _PartitionSearch,
     assignment_network,
     best_allocation_for_partition,
     brute_force_swm,
@@ -204,6 +206,12 @@ def test_solver_matches_oracle_on_random_instances():
         assert social_welfare(market, fast.allocation) == slow
 
 
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # 32 vendors and 2 items make 1 024 cells, one search level each.
+    market = generate_instance(buyers=1, vendors=31, items=2, seed=3)
+    assert solve_swm(market).social_welfare == brute_force_swm(market)[1]
+
+
 def test_solve_swm_empty_market():
     market = Market.build(c=2, vendors=[Vendor("s1", (2, 2))], buyers=[])
     res = solve_swm(market)
@@ -275,6 +283,8 @@ def test_bound_skips_most_flows():
         res = solve_swm(market, jobs=jobs)
         assert res.partitions_evaluated == res.partitions_total == 3003
         assert 1 <= res.flows_solved < res.partitions_total // 10
+        assert res.flows_solved <= res.partitions_priced
+        assert res.partitions_priced < res.partitions_total // 10
 
 
 def _flat_reference(market):
@@ -295,7 +305,7 @@ def test_pruned_solver_picks_the_flat_enumerations_partition():
     rng = random.Random(2024)
     checked = 0
     while checked < 150:
-        n, m, c = rng.randint(0, 5), rng.randint(1, 3), rng.randint(1, 2)
+        n, m, c = rng.randint(0, 5), rng.randint(1, 3), rng.randint(1, 3)
         if partition_count(n, (m + 1) ** c) > 3000:
             continue
         market = generate_instance(
@@ -306,9 +316,55 @@ def test_pruned_solver_picks_the_flat_enumerations_partition():
             max_value=rng.choice((2, 3, 6, 20)),
         )
         welfare, part, alloc = _flat_reference(market)
-        for jobs in (1, 2):
+        # Slices of a 2- or 3-way split start and end inside subtrees.
+        for jobs in (1, 2, 3):
             res = solve_swm(market, jobs=jobs)
             assert res.social_welfare == welfare
             assert res.partition.counts == part.counts
             assert res.allocation.choice == alloc.choice
         checked += 1
+
+
+class _RecordingSearch(_PartitionSearch):
+    """Records every leaf's price and never sets an incumbent, so that
+    nothing is pruned and every composition is reached."""
+
+    def __init__(self, market):
+        super().__init__(market)
+        self.leaves = []
+
+    def _leaf(self, counts, price):
+        self.leaves.append((tuple(counts), price))
+
+
+def _with_random_tiers(rng, market):
+    """The market with each vendor keeping 0, 1 or all of its tiers."""
+    vendors = [
+        dataclasses.replace(v, tiers=v.tiers[: rng.choice((0, 1, 2))])
+        for v in market.vendors
+    ]
+    return Market.build(c=market.c, vendors=vendors, buyers=list(market.buyers))
+
+
+def test_search_leaf_price_is_total_price_on_every_composition():
+    rng = random.Random(31)
+    tier_counts = set()
+    checked = 0
+    while checked < 100:
+        n, m, c = rng.randint(0, 6), rng.randint(1, 3), rng.randint(1, 3)
+        if partition_count(n, (m + 1) ** c) > 3000:
+            continue
+        market = _with_random_tiers(
+            rng, generate_instance(buyers=n, vendors=m, items=c, seed=rng.randrange(10**6))
+        )
+        tier_counts.update(len(v.tiers) for v in market.real_vendors)
+        search = _RecordingSearch(market)
+        search.run(0, partition_count(n, len(market.vendor_tuples)))
+        cells = market.vendor_tuples
+        assert [counts for counts, _ in search.leaves] == list(
+            enumerate_partitions(n, len(cells))
+        )
+        for counts, price in search.leaves:
+            assert price == total_price(market, Partition(dict(zip(cells, counts))))
+        checked += 1
+    assert tier_counts == {0, 1, 2}
