@@ -38,20 +38,15 @@ from .swm import (
     solve_swm,
 )
 from .transfers import (
-    CrossTransferGraph,
     GroupTransfers,
-    NonZeroSum,
     PriceVector,
     SumMismatch,
     TransferMatrix,
     Unstabilizable,
-    cross_transfer_graph,
-    eliminate_cycles,
     fair_buyer_transfers,
     greedy_match,
     prices_from_transfers,
     solve_group_transfers,
-    transfers_from_price_deltas,
 )
 from .verify import CertificateReport, certify, surplus_totals
 

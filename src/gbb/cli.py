@@ -36,7 +36,14 @@ from .model import (
     utilities,
     validate_market,
 )
-from .swm import BudgetExceeded, brute_force_swm, partition_count, solve_swm
+from .swm import (
+    DEFAULT_ALLOCATION_CAP,
+    DEFAULT_PARTITION_CAP,
+    BudgetExceeded,
+    brute_force_swm,
+    partition_count,
+    solve_swm,
+)
 from .transfers import (
     PriceVector,
     Unstabilizable,
@@ -259,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--max-partitions",
         type=int,
-        default=5_000_000,
+        default=DEFAULT_PARTITION_CAP,
         help="abort when the partition count exceeds this",
     )
     solve.add_argument(
@@ -277,7 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="exhaustive reference solve")
     oracle.add_argument("instance")
     oracle.add_argument("--out", default=None)
-    oracle.add_argument("--max-allocations", type=int, default=1_000_000)
+    oracle.add_argument(
+        "--max-allocations", type=int, default=DEFAULT_ALLOCATION_CAP
+    )
     oracle.set_defaults(func=cmd_oracle)
 
     gen = sub.add_parser("gen", help="generate a seeded random instance")

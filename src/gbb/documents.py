@@ -340,9 +340,10 @@ def solution_from_dict(data: Any) -> ParsedSolution:
         )
         if (s, x) in gt_entries:
             raise DocumentError(f"{where}: duplicate group transfer {s!r} -> {x!r}")
-        gt_entries[(s, x)] = _as_int(
-            _get(obj, "amount", where), f"{where}.amount", minimum=0
-        )
+        amount = _as_int(_get(obj, "amount", where), f"{where}.amount")
+        if amount <= 0:
+            raise DocumentError(f"{where}: amount {amount} must be positive")
+        gt_entries[(s, x)] = amount
 
     matrix_entries = {}
     for i, entry in enumerate(

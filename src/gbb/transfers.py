@@ -50,10 +50,6 @@ class SumMismatch(ValueError):
     """Offered and requested totals differ where exact equality is required."""
 
 
-class NonZeroSum(ValueError):
-    """Price deltas must sum to zero."""
-
-
 @dataclass(frozen=True, eq=False)
 class GroupTransfers:
     """Positive transfer amounts keyed by (paying vendor group, receiving
@@ -95,9 +91,6 @@ class TransferMatrix:
             flows[payee] = flows.get(payee, 0) - amount
         return flows
 
-    def net_outflow(self, buyer_id: BuyerId) -> Fraction:
-        return self.net_outflows().get(buyer_id, Fraction(0))
-
 
 @dataclass(frozen=True)
 class PriceEntry:
@@ -115,17 +108,6 @@ class PriceVector:
 
     def final(self, buyer_id: BuyerId) -> Fraction:
         return self.entries[buyer_id].final
-
-
-@dataclass(frozen=True, eq=False)
-class CrossTransferGraph:
-    """Digraph over vendors with an edge per cross-paid group membership."""
-
-    nodes: tuple[VendorId, ...]
-    edges: frozenset[tuple[VendorId, VendorId]]
-
-    def is_acyclic(self) -> bool:
-        return shortest_cycle(self) is None
 
 
 def group_transfer_network(gp: GroupPartition) -> FlowNetwork:
@@ -269,167 +251,3 @@ def price_vector(
         delta = deltas[b]
         entries[b] = PriceEntry(market_price=base, delta=delta, final=base + delta)
     return PriceVector(entries=entries)
-
-
-def transfers_from_price_deltas(
-    deltas: Mapping[BuyerId, Fraction | int]
-) -> TransferMatrix:
-    """Rebuild pairwise transfers realizing the given zero-sum deltas.
-
-    Positive-delta buyers pay, negative-delta buyers receive: the last
-    receiver is covered from the tail of the payer list, splitting one
-    payer at the boundary, and the construction recurses on the rest.
-    """
-    exact = {b: Fraction(d) for b, d in deltas.items()}
-    if sum(exact.values(), Fraction(0)) != 0:
-        raise NonZeroSum(f"deltas sum to {sum(exact.values(), Fraction(0))}")
-    payers = [(b, exact[b]) for b in sorted(exact, reverse=True) if exact[b] > 0]
-    payees = [(b, -exact[b]) for b in sorted(exact, reverse=True) if exact[b] < 0]
-    return TransferMatrix(entries=greedy_match(payers, payees))
-
-
-def cross_transfer_graph(
-    gt: GroupTransfers, vendors: Iterable[VendorId] | None = None
-) -> CrossTransferGraph:
-    """Edge (s, s') for every positive transfer a vendor s pays to a group
-    containing s' but not s itself.  No edges means the transfers are
-    rational."""
-    nodes = set(vendors) if vendors is not None else set()
-    for (s, x), _amount in gt.entries.items():
-        nodes.add(s)
-        nodes.update(x)
-    edges: set[tuple[VendorId, VendorId]] = set()
-    for (s, x), amount in gt.entries.items():
-        if amount > 0 and s not in x:
-            edges.update((s, member) for member in x)
-    return CrossTransferGraph(nodes=tuple(sorted(nodes)), edges=frozenset(edges))
-
-
-def shortest_cycle(graph: CrossTransferGraph) -> tuple[VendorId, ...] | None:
-    """Shortest directed cycle; ties go to the lexicographically smallest
-    canonical node sequence.  Exhaustive search (the graphs are tiny)."""
-    adj: dict[VendorId, list[VendorId]] = {v: [] for v in graph.nodes}
-    for a, b in sorted(graph.edges):
-        adj[a].append(b)
-
-    best: tuple[VendorId, ...] | None = None
-
-    def canonical(cycle: tuple[VendorId, ...]) -> tuple[VendorId, ...]:
-        pivot = cycle.index(min(cycle))
-        return cycle[pivot:] + cycle[:pivot]
-
-    def consider(cycle: tuple[VendorId, ...]) -> None:
-        nonlocal best
-        canon = canonical(cycle)
-        if best is None or (len(canon), canon) < (len(best), best):
-            best = canon
-
-    def dfs(start: VendorId, path: list[VendorId], on_path: set[VendorId]) -> None:
-        for nxt in adj[path[-1]]:
-            if nxt == start:
-                consider(tuple(path))
-            elif nxt > start and nxt not in on_path:
-                if best is not None and len(path) + 1 >= len(best):
-                    continue
-                path.append(nxt)
-                on_path.add(nxt)
-                dfs(start, path, on_path)
-                on_path.discard(nxt)
-                path.pop()
-
-    # Enumerate cycles by smallest member to visit each one exactly once.
-    for start in graph.nodes:
-        dfs(start, [start], {start})
-    return best
-
-
-def eliminate_cycles(gt: GroupTransfers, gp: GroupPartition) -> GroupTransfers:
-    """Rewrite group transfers into equivalent ones with no transfer cycles.
-
-    Per-vendor outgoing totals and per-group incoming totals are preserved
-    exactly.  Each round removes a shortest cycle (two vendors swap their
-    mutual cross payments) or shortens it by one hop, and total
-    cross-transfer strictly decreases, so the loop terminates.
-    """
-    _check_coverage(gt, gp)
-    entries = dict(gt.entries)
-    while True:
-        graph = cross_transfer_graph(GroupTransfers(entries=entries))
-        cycle = shortest_cycle(graph)
-        if cycle is None:
-            break
-        entries = _reduce_cycle(entries, cycle)
-    return GroupTransfers(entries=entries)
-
-
-def _check_coverage(gt: GroupTransfers, gp: GroupPartition) -> None:
-    outgoing = gt.outgoing_totals()
-    for s, paid in outgoing.items():
-        budget = gp.positive_totals.get(s, 0)
-        if paid > budget:
-            raise ValueError(f"vendor {s!r} pays {paid} over budget {budget}")
-    incoming = gt.incoming_totals()
-    for x, needed in gp.negative_totals.items():
-        if incoming.get(x, 0) != needed:
-            raise ValueError(
-                f"group {x!r} receives {incoming.get(x, 0)}, needs {needed}"
-            )
-    for x in incoming:
-        if x not in gp.negative_totals:
-            raise ValueError(f"transfers point at unknown group {x!r}")
-
-
-def _cross_entries(
-    entries: Mapping[tuple[VendorId, VendorTuple], Money],
-    payer: VendorId,
-    member: VendorId,
-) -> list[VendorTuple]:
-    """Groups that `payer` cross-pays and that contain `member`."""
-    return sorted(
-        x
-        for (s, x), amount in entries.items()
-        if s == payer and amount > 0 and payer not in x and member in x
-    )
-
-
-def _reduce_cycle(
-    entries: dict[tuple[VendorId, VendorTuple], Money],
-    cycle: tuple[VendorId, ...],
-) -> dict[tuple[VendorId, VendorTuple], Money]:
-    """One reduction round on ``cycle`` (first node pays the least cross)."""
-    k = len(cycle)
-    hops = [
-        _cross_entries(entries, cycle[i], cycle[(i + 1) % k]) for i in range(k)
-    ]
-    totals = [sum(entries[(cycle[i], x)] for x in hops[i]) for i in range(k)]
-    pivot = min(range(k), key=lambda i: (totals[i], cycle[i]))
-    cycle = cycle[pivot:] + cycle[:pivot]
-    hops = hops[pivot:] + hops[:pivot]
-    moved = totals[pivot]
-
-    first, last = cycle[0], cycle[-1]
-    first_groups = hops[0]
-    last_groups = hops[-1]
-
-    updated = dict(entries)
-    # The first vendor stops cross-paying the groups shared with its
-    # successor; the predecessor covers them instead.
-    for x in first_groups:
-        amount = updated.pop((first, x))
-        updated[(last, x)] = updated.get((last, x), 0) + amount
-    # The freed budget takes over an equal amount of the predecessor's
-    # payments to groups containing the first vendor.
-    remaining = moved
-    for x in last_groups:
-        if remaining == 0:
-            break
-        take = min(remaining, updated.get((last, x), 0))
-        if take == 0:
-            continue
-        updated[(last, x)] -= take
-        if updated[(last, x)] == 0:
-            del updated[(last, x)]
-        updated[(first, x)] = updated.get((first, x), 0) + take
-        remaining -= take
-    assert remaining == 0
-    return updated

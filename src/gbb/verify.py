@@ -173,25 +173,6 @@ def check_budget_balance(prices: PriceVector) -> CheckResult:
     return _fail([])
 
 
-def check_equivalent(gt: GroupTransfers, other: GroupTransfers) -> CheckResult:
-    """Same per-vendor outgoing totals and per-group incoming totals."""
-    witnesses = []
-    a_out, b_out = gt.outgoing_totals(), other.outgoing_totals()
-    for s in sorted(set(a_out) | set(b_out)):
-        if a_out.get(s, 0) != b_out.get(s, 0):
-            witnesses.append(
-                f"vendor {s}: outgoing {a_out.get(s, 0)} != {b_out.get(s, 0)}"
-            )
-    a_in, b_in = gt.incoming_totals(), other.incoming_totals()
-    for x in sorted(set(a_in) | set(b_in)):
-        if a_in.get(x, 0) != b_in.get(x, 0):
-            witnesses.append(
-                f"group {{{','.join(x)}}}: incoming {a_in.get(x, 0)} != "
-                f"{b_in.get(x, 0)}"
-            )
-    return _fail(witnesses)
-
-
 def surplus_totals(market: Market, alloc: Allocation) -> tuple[Money, Money]:
     """(total surplus available, total subsidy needed) over all buyers."""
     sigma = all_surpluses(market, alloc)

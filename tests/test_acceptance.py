@@ -3,6 +3,11 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line per
 criterion.  Everything asserts exact integer/rational equality; the only
 tolerances are the stated wall-clock budgets.
+
+Criteria 6 (price-delta round trip) and 7 (cycle elimination) are retired:
+the pipeline builds rational group transfers directly, which criterion 3
+pins, so neither reconstruction exists any more.  The other criteria keep
+their numbers and test ids.
 """
 
 import json
@@ -26,23 +31,18 @@ from gbb.model import (
 )
 from gbb.swm import brute_force_swm, enumerate_partitions, partition_count, solve_swm
 from gbb.transfers import (
-    GroupTransfers,
-    cross_transfer_graph,
-    eliminate_cycles,
     fair_buyer_transfers,
     group_transfer_network,
     prices_from_transfers,
     solve_group_transfers,
-    transfers_from_price_deltas,
 )
-from gbb.verify import certify, check_equivalent, check_fair, surplus_totals
+from gbb.verify import certify, check_fair, surplus_totals
 
 from tests.test_flow import (
     min_cut_capacity,
     random_dag_network,
     random_integral_max_flow,
 )
-from tests.test_transfers import synthetic_partition
 
 
 def report(criterion: int, text: str) -> None:
@@ -142,9 +142,15 @@ def test_c3_transfer_flow_saturates(corpus):
         net = group_transfer_network(gp)
         needed = sum(gp.negative_totals.values())
         assert max_flow(net).value == needed
+        # rational: a vendor only pays groups that buy from it
+        assert all(s in x for s, x in item["gt"].entries)
         if needed > 0:
             discounted += 1
-    report(3, f"all 200 transfer flows saturate ({discounted} needed subsidy)")
+    report(
+        3,
+        f"all 200 transfer flows saturate ({discounted} needed subsidy), "
+        "no cross transfers",
+    )
 
 
 def test_c4_surplus_covers_subsidy(corpus):
@@ -174,66 +180,6 @@ def test_c5_fairness_identity(corpus):
                 payers += 1
         assert check_fair(gp, item["prices"]).passed
     report(5, f"exact proportional payments for {payers} payers")
-
-
-# --- criterion 6: price-delta round trip -----------------------------------
-
-
-def test_c6_price_delta_round_trip():
-    rng = random.Random(606)
-    for _ in range(500):
-        n = rng.randint(2, 10)
-        deltas = {
-            f"b{i}": Fraction(rng.randint(-60, 60), rng.randint(1, 12))
-            for i in range(n - 1)
-        }
-        deltas[f"b{n - 1}"] = -sum(deltas.values())
-        matrix = transfers_from_price_deltas(deltas)
-        for buyer, delta in deltas.items():
-            assert matrix.net_outflow(buyer) == delta
-        for (payer, payee), amount in matrix.entries.items():
-            assert amount > 0
-            assert deltas[payer] > 0
-            assert deltas[payee] < 0
-    report(6, "500 zero-sum delta vectors reconstruct exactly, signs separated")
-
-
-# --- criterion 7: cycle elimination -----------------------------------------
-
-
-def test_c7_cycle_elimination():
-    two = GroupTransfers(entries={("s1", ("s2",)): 3, ("s2", ("s1",)): 5})
-    gp2 = synthetic_partition(
-        positive={"s1": 3, "s2": 5}, negative={("s1",): 5, ("s2",): 3}
-    )
-    fixed2 = eliminate_cycles(two, gp2)
-    assert check_equivalent(two, fixed2).passed
-    assert cross_transfer_graph(fixed2).is_acyclic()
-
-    three = GroupTransfers(
-        entries={
-            ("s1", ("s2",)): 2,
-            ("s2", ("s3",)): 4,
-            ("s3", ("s1",)): 3,
-        }
-    )
-    gp3 = synthetic_partition(
-        positive={"s1": 2, "s2": 4, "s3": 3},
-        negative={("s1",): 3, ("s2",): 2, ("s3",): 4},
-    )
-    fixed3 = eliminate_cycles(three, gp3)
-    assert check_equivalent(three, fixed3).passed
-    assert cross_transfer_graph(fixed3).is_acyclic()
-
-    synthetic = GroupTransfers(
-        entries={("s1", ("s3", "s4")): 1, ("s2", ("s4",)): 1}
-    )
-    assert cross_transfer_graph(synthetic).edges == {
-        ("s1", "s3"),
-        ("s1", "s4"),
-        ("s2", "s4"),
-    }
-    report(7, "2- and 3-cycles eliminated equivalently; edge set as defined")
 
 
 # --- criterion 8: partition counting ----------------------------------------

@@ -179,13 +179,20 @@ def test_solution_rejects_non_positive_transfer_amount(tmp_path, capsys):
     with open(data_path("fix_e2.solve.json"), encoding="utf-8") as fh:
         data = json.load(fh)
     b1_to_b3, b2_to_b3 = data["transfers"]
+    (s1_to_s1s2,) = data["group_transfers"]
     b3_to_b1 = {"payer": "b3", "payee": "b1", "amount": "-1"}
     b1_to_b2 = {"payer": "b1", "payee": "b2", "amount": "0"}
+    unknown = {"vendor": "s9", "group": ["s9", "zz"]}
     path = tmp_path / "non_positive.json"
-    for transfers in ([b3_to_b1, b2_to_b3], [b1_to_b3, b2_to_b3, b1_to_b2]):
-        data["transfers"] = transfers
+    for field, entries in (
+        ("transfers", [b3_to_b1, b2_to_b3]),
+        ("transfers", [b1_to_b3, b2_to_b3, b1_to_b2]),
+        ("group_transfers", [s1_to_s1s2, {**unknown, "amount": 0}]),
+        ("group_transfers", [s1_to_s1s2, {**unknown, "amount": -2}]),
+    ):
+        tampered = {**data, field: entries}
         with pytest.raises(DocumentError, match="must be positive"):
-            solution_from_dict(data)
-        path.write_text(json.dumps(data))
+            solution_from_dict(tampered)
+        path.write_text(json.dumps(tampered))
         assert main(["verify", data_path("fix_e2.json"), str(path)]) == 2
         assert "must be positive" in capsys.readouterr().err

@@ -17,7 +17,6 @@ from gbb.transfers import (
 from gbb.verify import (
     certify,
     check_budget_balance,
-    check_equivalent,
     check_fair,
     check_group_condition,
     check_p_consistent,
@@ -153,19 +152,6 @@ def test_check_budget_balance(fix_e1):
     result = check_budget_balance(lopsided)
     assert not result.passed
     assert "sum to 1" in result.witnesses[0]
-
-
-def test_check_equivalent(fix_e2):
-    _, gt, _, _ = pipeline(fix_e2, MU_STAR)
-    assert check_equivalent(gt, gt).passed
-    doubled = GroupTransfers(
-        entries={k: 2 * v for k, v in gt.entries.items()}
-    )
-    result = check_equivalent(gt, doubled)
-    assert not result.passed
-    assert check_equivalent(
-        GroupTransfers(entries={}), GroupTransfers(entries={})
-    ).passed
 
 
 def test_certify_pipeline_soundness_random():
