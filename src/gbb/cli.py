@@ -142,9 +142,7 @@ def _solve_and_emit(
 
 def cmd_solve(args: argparse.Namespace) -> int:
     def solve(market: Market) -> tuple[Allocation, Money, int, int]:
-        result = solve_swm(
-            market, max_partitions=args.max_partitions, jobs=args.jobs
-        )
+        result = solve_swm(market, max_partitions=args.max_partitions)
         return (
             result.allocation,
             result.social_welfare,
@@ -166,7 +164,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         alloc, welfare = brute_force_swm(
             market, max_allocations=args.max_allocations
         )
-        count = len(market.vendor_tuples) ** len(market.buyers)
+        count = market.cell_count ** len(market.buyers)
         return alloc, welfare, count, count
 
     return _solve_and_emit(args, "exhaustive", solve)
@@ -245,7 +243,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_partitions(args: argparse.Namespace) -> int:
     market = _load_valid_instance(args.instance)
     n = len(market.buyers)
-    cells = len(market.vendor_tuples)
+    cells = market.cell_count
     print(f"buyers={n} cells={cells} partitions={partition_count(n, cells)}")
     return EXIT_OK
 
@@ -278,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="include wall-clock timings in the document metadata "
         "(documents are no longer byte-reproducible)",
     )
-    solve.add_argument("--jobs", type=int, default=1, help="parallel workers")
     solve.set_defaults(func=cmd_solve)
 
     oracle = sub.add_parser("oracle", help="exhaustive reference solve")

@@ -41,12 +41,6 @@ class FlowNetwork:
             if edge.capacity < 0:
                 raise ValueError(f"negative capacity on edge {edge}")
 
-    def dump(self) -> str:
-        """One line per edge: ``from to cap cost tag``."""
-        return "\n".join(
-            f"{e.tail} {e.head} {e.capacity} {e.cost} {e.tag}" for e in self.edges
-        )
-
 
 class NetworkBuilder:
     """Incremental construction of an immutable FlowNetwork."""

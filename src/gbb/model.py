@@ -83,9 +83,6 @@ class Market:
         except KeyError:
             raise ValueError(f"unknown vendor id {vendor_id!r}") from None
 
-    def has_vendor(self, vendor_id: VendorId) -> bool:
-        return vendor_id in self._vendor_index
-
     @cached_property
     def _buyer_index(self) -> dict[BuyerId, Buyer]:
         return {b.id: b for b in self.buyers}
@@ -103,6 +100,11 @@ class Market:
     @cached_property
     def real_vendors(self) -> tuple[Vendor, ...]:
         return tuple(v for v in self.vendors if v.id != NULL_VENDOR)
+
+    @property
+    def cell_count(self) -> int:
+        """``len(vendor_tuples)``, computed without building the tuples."""
+        return len(self.vendors) ** self.c
 
     @cached_property
     def vendor_tuples(self) -> tuple[VendorTuple, ...]:

@@ -17,7 +17,9 @@ net of their lowest possible prices, plus the ``r`` best such values over
 the open cells, fall strictly below the incumbent.  That bound is at least
 every leaf bound below it, so a skipped subtree holds only leaves whose
 flow would be skipped anyway: the flows solved, the welfare and the
-chosen partition are those of pricing every leaf.
+chosen partition are those of pricing every leaf.  The search runs in one
+process, so every bound compares against the best leaf of the whole order
+found so far.
 
 ``SwmResult.partitions_evaluated`` counts partitions covered, priced or
 ruled out with their subtree, and always equals ``partitions_total``;
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
@@ -243,27 +246,41 @@ def solve_swm(
     per-partition assignment is deterministic, so results are reproducible
     run to run.  ``progress(covered, total)`` fires once per 1 000
     partitions covered.
+
+    The search runs in one process.  Raises BudgetExceeded, before any
+    vendor tuple is built, when the partition count or the cell count
+    exceeds ``max_partitions`` (the two differ only without buyers).
+
+    ``jobs`` is deprecated and ignored: any value other than 1 warns with
+    ``DeprecationWarning`` and runs the same search.  It is kept only for
+    the benchmark's jobs=2 probe and is deleted once that probe is retired
+    (ROADMAP item 1).
     """
-    n = len(market.buyers)
-    cells = len(market.vendor_tuples)
-    total = partition_count(n, cells)
+    if jobs != 1:
+        warnings.warn(
+            "solve_swm(jobs=) is deprecated and ignored; the search runs in "
+            "one process",
+            DeprecationWarning,
+            stacklevel=2,
+        )
+    cells = market.cell_count
+    total = partition_count(len(market.buyers), cells)
     if total > max_partitions:
         raise BudgetExceeded(total, max_partitions)
+    if cells > max_partitions:
+        raise BudgetExceeded(cells, max_partitions, what="cells")
 
-    if jobs > 1 and total > 1:
-        best, flows, priced = _solve_parallel(market, total, jobs)
-    else:
-        best, flows, priced = _solve_slice(market, 0, total, progress)
-    welfare, counts, choice = best
-    partition = _partition_of(market, counts)
+    search = _PartitionSearch(market)
+    search.run(progress)
+    welfare, counts, choice = search.best
     return SwmResult(
         allocation=Allocation(choice=choice),
         social_welfare=welfare,
-        partition=partition,
+        partition=_partition_of(market, counts),
         partitions_total=total,
         partitions_evaluated=total,
-        partitions_priced=priced,
-        flows_solved=flows,
+        partitions_priced=search.priced,
+        flows_solved=search.flows,
     )
 
 
@@ -331,13 +348,8 @@ class _PartitionSearch:
         self.flows = 0
         self.priced = 0
 
-    def run(
-        self,
-        lo: int,
-        hi: int,
-        progress: Callable[[int, int], None] | None = None,
-    ) -> None:
-        """Search the compositions ``lo`` to ``hi - 1`` of the order.
+    def run(self, progress: Callable[[int, int], None] | None = None) -> None:
+        """Search every composition of the order.
 
         The search keeps an explicit stack, one level per cell, so that its
         depth is not bounded by Python's recursion limit.
@@ -352,14 +364,15 @@ class _PartitionSearch:
         left = [len(self.layout.market.buyers)] + [0] * last
         bound = [0] * len(base)
         paid = [0] * len(base)
-        pos = 0  # ordinal of the next composition in the order
+        total = sizes[last + 1][left[0]]
+        pos = 0  # compositions covered so far
         mark = 1000
 
         def advance(size: int) -> None:
             nonlocal pos, mark
             pos += size
-            while progress is not None and mark <= pos - lo:
-                progress(mark, hi - lo)
+            while progress is not None and mark <= pos:
+                progress(mark, total)
                 mark += 1000
 
         k, m = 0, left[0] + 1
@@ -375,13 +388,8 @@ class _PartitionSearch:
                 k -= 1
                 m = counts[k]
                 continue
-            if pos >= hi:
-                return
             rest = left[k] - m
             size = sizes[last - k][rest]
-            if pos + size <= lo:
-                advance(size)
-                continue
             child = bound[k] + adj[k][m]
             best = self.best
             if best is not None and child + suffix[k + 1][rest] < best[0]:
@@ -426,53 +434,22 @@ class _PartitionSearch:
                 self.best = (welfare, key, choice)
 
 
-def _solve_slice(
-    market: Market,
-    lo: int,
-    hi: int,
-    progress: Callable[[int, int], None] | None = None,
-) -> tuple:
-    """Best (welfare, counts, choice) over compositions ``lo`` to ``hi - 1``,
-    with the numbers of min-cost flows solved and of partitions priced."""
-    search = _PartitionSearch(market)
-    search.run(lo, hi, progress)
-    return search.best, search.flows, search.priced
-
-
-def _solve_parallel(market: Market, total: int, jobs: int):
-    from concurrent.futures import ProcessPoolExecutor
-
-    jobs = min(jobs, total)
-    bounds = [total * i // jobs for i in range(jobs + 1)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(
-            pool.map(_solve_slice, [market] * jobs, bounds[:-1], bounds[1:])
-        )
-    best = None
-    # Merge in slice order: later slices hold lexicographically smaller
-    # partitions, so >= keeps the same tie rule as the sequential path.
-    for candidate, _, _ in results:
-        if best is None or candidate[0] >= best[0]:
-            best = candidate
-    return (
-        best,
-        sum(flows for _, flows, _ in results),
-        sum(priced for _, _, priced in results),
-    )
-
-
 def brute_force_swm(
     market: Market, max_allocations: int = DEFAULT_ALLOCATION_CAP
 ) -> tuple[Allocation, Money]:
     """Exact optimum by enumerating every allocation outright.
 
-    Test oracle only: the count grows as (vendor count)^(c * buyers).
+    Test oracle only: the count grows as (vendor count)^(c * buyers).  The
+    caps are checked before any vendor tuple is built.
     """
-    cells = market.vendor_tuples
     n = len(market.buyers)
-    needed = len(cells) ** n
+    cell_count = market.cell_count
+    needed = cell_count**n
     if needed > max_allocations:
         raise BudgetExceeded(needed, max_allocations, what="allocations")
+    if cell_count > max_allocations:
+        raise BudgetExceeded(cell_count, max_allocations, what="cells")
+    cells = market.vendor_tuples
 
     values = [
         [buyer.valuation(choice) for choice in cells] for buyer in market.buyers

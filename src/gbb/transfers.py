@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, TypeVar
+from typing import Iterable, Mapping
 
 from .flow import FlowNetwork, NetworkBuilder, max_flow
 from .model import (
@@ -26,9 +26,6 @@ from .model import (
     group_partition,
     market_prices,
 )
-
-
-Amount = TypeVar("Amount", int, Fraction)
 
 
 class Unstabilizable(Exception):
@@ -56,15 +53,6 @@ class GroupTransfers:
     choice group); absent entries are zero."""
 
     entries: Mapping[tuple[VendorId, VendorTuple], Money]
-
-    def amount(self, vendor: VendorId, group: VendorTuple) -> Money:
-        return self.entries.get((vendor, group), 0)
-
-    def outgoing_totals(self) -> dict[VendorId, Money]:
-        totals: dict[VendorId, Money] = {}
-        for (vendor, _group), amount in self.entries.items():
-            totals[vendor] = totals.get(vendor, 0) + amount
-        return totals
 
     def incoming_totals(self) -> dict[VendorTuple, Money]:
         totals: dict[VendorTuple, Money] = {}
@@ -102,12 +90,6 @@ class PriceEntry:
 @dataclass(frozen=True, eq=False)
 class PriceVector:
     entries: Mapping[BuyerId, PriceEntry]
-
-    def delta(self, buyer_id: BuyerId) -> Fraction:
-        return self.entries[buyer_id].delta
-
-    def final(self, buyer_id: BuyerId) -> Fraction:
-        return self.entries[buyer_id].final
 
 
 def group_transfer_network(gp: GroupPartition) -> FlowNetwork:
@@ -158,12 +140,12 @@ def solve_group_transfers(
 
 
 def greedy_match(
-    offers: Iterable[tuple[BuyerId, Amount]],
-    requests: Iterable[tuple[BuyerId, Amount]],
-) -> dict[tuple[BuyerId, BuyerId], Amount]:
-    """Two-pointer matching: each offer is spent in order until the current
-    request is met, leaving at most offers+requests-1 nonzero transfers.
-    Amounts keep the number type they are given (``int`` or ``Fraction``)."""
+    offers: Iterable[tuple[BuyerId, int]],
+    requests: Iterable[tuple[BuyerId, int]],
+) -> dict[tuple[BuyerId, BuyerId], int]:
+    """Two-pointer matching of integer amounts: each offer is spent in order
+    until the current request is met, leaving at most offers+requests-1
+    nonzero transfers."""
     offers = list(offers)
     requests = list(requests)
     if any(a < 0 for _, a in offers) or any(a < 0 for _, a in requests):
@@ -173,7 +155,7 @@ def greedy_match(
     if offered != requested:
         raise SumMismatch(f"offered {offered} != requested {requested}")
 
-    result: dict[tuple[BuyerId, BuyerId], Amount] = {}
+    result: dict[tuple[BuyerId, BuyerId], int] = {}
     i = 0
     for payee, need in requests:
         while need > 0:

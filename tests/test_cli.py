@@ -96,12 +96,39 @@ def test_solve_budget_exceeded(capsys, fix_e2_path):
     assert "exceed the configured cap" in err
 
 
+def test_counts_and_caps_do_not_build_the_cells(capsys, tmp_path, monkeypatch):
+    from gbb.model import Market
+
+    def unbuilt(market):
+        raise AssertionError("vendor tuples built")
+
+    monkeypatch.setattr(Market, "vendor_tuples", property(unbuilt))
+    wide = tmp_path / "wide.json"
+    wide.write_text(
+        json.dumps(
+            {
+                "schema": "gbb-market/1",
+                "item_types": 64,
+                "vendors": [{"id": "s1", "base_prices": [1] * 64, "discounts": []}],
+                "buyers": [{"id": "b1", "valuations": []}],
+            }
+        )
+    )
+    code, out, _ = run(capsys, ["partitions", str(wide)])
+    assert code == 0
+    assert out.strip() == f"buyers=1 cells={2**64} partitions={2**64}"
+    for command in ("solve", "oracle"):
+        code, _, err = run(capsys, [command, str(wide)])
+        assert code == 3
+        assert "exceed the configured cap" in err
+
+
 def test_solve_unstabilizable_exit(capsys, fix_e1_path, monkeypatch):
     import gbb.cli as cli
     from gbb.model import Allocation
     from gbb.swm import SwmResult, Partition
 
-    def fake_solve(market, max_partitions=0, jobs=1):
+    def fake_solve(market, max_partitions=0):
         alloc = Allocation({"b1": ("s2", "s2"), "b2": ("s1", "s1")})
         return SwmResult(
             allocation=alloc,
@@ -260,28 +287,20 @@ def test_partitions_command(capsys, fix_e2_path):
     assert out.strip() == "buyers=3 cells=9 partitions=165"
 
 
-def test_solve_jobs_flag_reproducible(fix_e2_path, tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["solve", fix_e2_path, "--out", str(a)]) == 0
-    assert main(["solve", fix_e2_path, "--jobs", "2", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+def test_solve_rejects_the_jobs_flag(capsys, fix_e2_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", fix_e2_path, "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fixture", ["fix_e1", "fix_e2", "gen_b4_v2_c2_s7"])
-@pytest.mark.parametrize(
-    "argv, golden",
-    [
-        (["solve"], "solve"),
-        (["solve", "--jobs", "2"], "solve"),
-        (["oracle"], "oracle"),
-    ],
-    ids=["solve", "solve-jobs2", "oracle"],
-)
-def test_fixture_documents_match_golden_bytes(fixture, argv, golden, tmp_path):
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_fixture_documents_match_golden_bytes(fixture, command, tmp_path):
     out = tmp_path / "out.json"
     instance = data_path(f"{fixture}.json")
-    assert main([argv[0], instance, *argv[1:], "--out", str(out)]) == 0
-    with open(data_path(f"{fixture}.{golden}.json"), "rb") as fh:
+    assert main([command, instance, "--out", str(out)]) == 0
+    with open(data_path(f"{fixture}.{command}.json"), "rb") as fh:
         assert out.read_bytes() == fh.read()
 
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gbb.flow import Edge, FlowNetwork, NetworkBuilder, max_flow, min_cost_max_flow
+from gbb.flow import Edge, FlowNetwork, max_flow, min_cost_max_flow
 
 
 def net_from_edges(n, source, sink, edges):
@@ -249,14 +249,6 @@ def test_malformed_networks_rejected():
         net_from_edges(2, 0, 1, [(0, 1, -2)])
     with pytest.raises(ValueError, match="out of range"):
         net_from_edges(2, 0, 4, [(0, 1, 1)])
-
-
-def test_dump_format():
-    builder = NetworkBuilder()
-    a, b = builder.add_node(), builder.add_node()
-    builder.add_edge(a, b, 3, -2, tag=("x", "y"))
-    net = builder.build(a, b)
-    assert net.dump() == "0 1 3 -2 ('x', 'y')"
 
 
 def test_min_cost_rejects_reachable_negative_cycle():

@@ -190,6 +190,28 @@ def test_budget_guards(fix_e2):
         brute_force_swm(fix_e2, max_allocations=10)
 
 
+def test_caps_are_checked_before_the_cells_are_built(monkeypatch):
+    def unbuilt(market):
+        raise AssertionError("vendor tuples built before the cap check")
+
+    monkeypatch.setattr(Market, "vendor_tuples", property(unbuilt))
+    vendors = [Vendor("s1", (1,) * 64)]
+    buyers = [Buyer("b1", {}), Buyer("b2", {})]
+    market = Market.build(c=64, vendors=vendors, buyers=buyers)
+    with pytest.raises(BudgetExceeded) as exc:
+        solve_swm(market)
+    assert exc.value.needed == partition_count(2, 2**64)
+    with pytest.raises(BudgetExceeded) as exc:
+        brute_force_swm(market)
+    assert exc.value.needed == 2**128
+    # Without buyers there is one partition, but still 2**64 cells.
+    empty = Market.build(c=64, vendors=vendors, buyers=[])
+    for solve in (solve_swm, brute_force_swm):
+        with pytest.raises(BudgetExceeded, match="cells") as exc:
+            solve(empty)
+        assert exc.value.needed == 2**64
+
+
 def test_solver_matches_oracle_on_random_instances():
     rng = random.Random(99)
     for trial in range(30):
@@ -219,12 +241,17 @@ def test_solve_swm_empty_market():
     assert res.allocation.choice == {}
 
 
-def test_parallel_jobs_match_sequential(fix_e2):
-    seq = solve_swm(fix_e2)
-    par = solve_swm(fix_e2, jobs=2)
-    assert par.social_welfare == seq.social_welfare
-    assert dict(par.allocation.choice) == dict(seq.allocation.choice)
-    assert par.partition.counts == seq.partition.counts
+def test_jobs_argument_is_deprecated_and_ignored(fix_e2):
+    generated = generate_instance(buyers=6, vendors=2, items=2, seed=2)
+    for market in (fix_e2, generated):
+        one = solve_swm(market)
+        with pytest.warns(DeprecationWarning, match="jobs"):
+            two = solve_swm(market, jobs=2)
+        assert two.social_welfare == one.social_welfare
+        assert two.partition.counts == one.partition.counts
+        assert dict(two.allocation.choice) == dict(one.allocation.choice)
+        assert two.flows_solved == one.flows_solved
+        assert two.partitions_priced == one.partitions_priced
 
 
 def test_progress_hook_reports_totals():
@@ -245,18 +272,16 @@ def test_equal_welfare_ties_pick_lexicographically_smallest_partition():
         vendors=[Vendor("s1", (5,)), Vendor("s2", (5,))],
         buyers=[Buyer("b1", {("s1",): 5, ("s2",): 5})],
     )
-    # three partitions, all of welfare 0: at jobs=3 each sits in its own
-    # slice, so the merge across slices must keep the tie rule too
-    for jobs in (1, 2, 3):
-        res = solve_swm(market, jobs=jobs)
-        assert res.social_welfare == 0
-        # cells sort as (null), (s1), (s2); counts (0, 0, 1) is the smallest
-        assert res.partition.counts == {
-            (NULL_VENDOR,): 0,
-            ("s1",): 0,
-            ("s2",): 1,
-        }
-        assert res.allocation.choice == {"b1": ("s2",)}
+    # three partitions, all of welfare 0
+    res = solve_swm(market)
+    assert res.social_welfare == 0
+    # cells sort as (null), (s1), (s2); counts (0, 0, 1) is the smallest
+    assert res.partition.counts == {
+        (NULL_VENDOR,): 0,
+        ("s1",): 0,
+        ("s2",): 1,
+    }
+    assert res.allocation.choice == {"b1": ("s2",)}
 
 
 def test_demand_vector_components_sum_to_buyer_count():
@@ -279,12 +304,11 @@ def test_demand_vector_components_sum_to_buyer_count():
 
 def test_bound_skips_most_flows():
     market = generate_instance(buyers=6, vendors=2, items=2, seed=2)
-    for jobs in (1, 2):
-        res = solve_swm(market, jobs=jobs)
-        assert res.partitions_evaluated == res.partitions_total == 3003
-        assert 1 <= res.flows_solved < res.partitions_total // 10
-        assert res.flows_solved <= res.partitions_priced
-        assert res.partitions_priced < res.partitions_total // 10
+    res = solve_swm(market)
+    assert res.partitions_evaluated == res.partitions_total == 3003
+    assert 1 <= res.flows_solved < res.partitions_total // 10
+    assert res.flows_solved <= res.partitions_priced
+    assert res.partitions_priced < res.partitions_total // 10
 
 
 def _flat_reference(market):
@@ -316,12 +340,10 @@ def test_pruned_solver_picks_the_flat_enumerations_partition():
             max_value=rng.choice((2, 3, 6, 20)),
         )
         welfare, part, alloc = _flat_reference(market)
-        # Slices of a 2- or 3-way split start and end inside subtrees.
-        for jobs in (1, 2, 3):
-            res = solve_swm(market, jobs=jobs)
-            assert res.social_welfare == welfare
-            assert res.partition.counts == part.counts
-            assert res.allocation.choice == alloc.choice
+        res = solve_swm(market)
+        assert res.social_welfare == welfare
+        assert res.partition.counts == part.counts
+        assert res.allocation.choice == alloc.choice
         checked += 1
 
 
@@ -359,7 +381,7 @@ def test_search_leaf_price_is_total_price_on_every_composition():
         )
         tier_counts.update(len(v.tiers) for v in market.real_vendors)
         search = _RecordingSearch(market)
-        search.run(0, partition_count(n, len(market.vendor_tuples)))
+        search.run()
         cells = market.vendor_tuples
         assert [counts for counts, _ in search.leaves] == list(
             enumerate_partitions(n, len(cells))
