@@ -35,7 +35,9 @@ SOLUTION_SCHEMA = "gbb-solution/1"
 # remain portable; internal arithmetic is exact regardless.
 MONEY_LIMIT = 2**63
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+# ASCII digits only, matched against the whole string (``$`` would also
+# accept a trailing newline, and ``\d`` any Unicode digit).
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 class DocumentError(ValueError):
@@ -43,16 +45,21 @@ class DocumentError(ValueError):
 
 
 def rational_to_str(value: Fraction | int) -> str:
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    numerator, denominator = value.numerator, value.denominator
+    if denominator == 1:
+        return str(numerator)
+    return f"{numerator}/{denominator}"
 
 
 def rational_from_str(text: str) -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise DocumentError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    numerator, denominator = match.groups()
+    try:
+        return Fraction(int(numerator), int(denominator or 1))
+    except ValueError as exc:  # more digits than int() converts
+        raise DocumentError(f"not a rational literal: {exc}") from None
 
 
 def to_canonical_json(data: Any) -> str:
@@ -203,7 +210,7 @@ def _read_json(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an int too long to parse
         raise DocumentError(f"{path}: invalid JSON ({exc})") from exc
 
 
@@ -356,7 +363,7 @@ def solution_from_dict(data: Any) -> ParsedSolution:
         if (payer, payee) in matrix_entries:
             raise DocumentError(f"{where}: duplicate transfer {payer!r} -> {payee!r}")
         amount = rational_from_str(_get(obj, "amount", where))
-        if amount <= 0:
+        if amount.numerator <= 0:
             raise DocumentError(f"{where}: amount {amount} must be positive")
         matrix_entries[(payer, payee)] = amount
 

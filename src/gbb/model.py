@@ -112,15 +112,19 @@ class Market:
         ids = sorted(v.id for v in self.vendors)
         return tuple(itertools.product(ids, repeat=self.c))
 
-    @cached_property
-    def tuple_base_prices(self) -> dict[VendorTuple, Money]:
-        """Undiscounted price of every vendor tuple, in ``vendor_tuples`` order."""
-        return {
-            choice: sum(
-                self._vendor_index[vid].base_prices[k] for k, vid in enumerate(choice)
-            )
-            for choice in self.vendor_tuples
-        }
+    def base_price(self, choice: VendorTuple) -> Money | None:
+        """Undiscounted price of ``choice``, or None when it names an unknown
+        vendor or has the wrong arity; no other tuple is built."""
+        if len(choice) != self.c:
+            return None
+        index = self._vendor_index
+        total = 0
+        for k, vid in enumerate(choice):
+            vendor = index.get(vid)
+            if vendor is None:
+                return None
+            total += vendor.base_prices[k]
+        return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,27 +307,33 @@ def market_price_of_choice(
 ) -> Money:
     """Price a buyer faces for ``choice``: discounted bundle when the whole
     tuple is one triggered vendor, otherwise the sum of base prices."""
-    first = choice[0]
-    if all(vid == first for vid in choice) and trig.get(first, 0) > 0:
-        return market.vendor(first).tiers[trig[first] - 1].bundle_price
-    try:
-        return market.tuple_base_prices[choice]
-    except KeyError:
+    if len(choice) == market.c and len(set(choice)) == 1:
+        tier = trig.get(choice[0], 0)
+        if tier > 0:
+            return market.vendor(choice[0]).tiers[tier - 1].bundle_price
+    base = market.base_price(choice)
+    if base is None:
         for vid in choice:
             market.vendor(vid)  # raises ValueError naming an unknown vendor id
         raise ValueError(
             f"choice {choice!r} has arity {len(choice)}, expected {market.c}"
-        ) from None
+        )
+    return base
 
 
 def market_prices(market: Market, alloc: Allocation) -> dict[BuyerId, Money]:
     """Each buyer's market price under ``alloc``, from the tiers that the
-    whole allocation's demand triggers."""
+    whole allocation's demand triggers.  Each distinct choice is priced once."""
     trig = triggered(market, alloc)
-    return {
-        b: market_price_of_choice(market, alloc.choice[b], trig)
-        for b in market.buyer_ids
-    }
+    priced: dict[VendorTuple, Money] = {}
+    prices: dict[BuyerId, Money] = {}
+    for b in market.buyer_ids:
+        choice = alloc.choice[b]
+        price = priced.get(choice)
+        if price is None:
+            price = priced[choice] = market_price_of_choice(market, choice, trig)
+        prices[b] = price
+    return prices
 
 
 def utilities(
@@ -358,7 +368,7 @@ def best_alternative(market: Market, buyer_id: BuyerId) -> tuple[VendorTuple, Mo
     best_choice: VendorTuple | None = None
     best_value = 0
     for choice in market.vendor_tuples:
-        value = buyer.valuation(choice) - market.tuple_base_prices[choice]
+        value = buyer.valuation(choice) - market.base_price(choice)
         if best_choice is None or value > best_value:
             best_choice = choice
             best_value = value
@@ -370,10 +380,9 @@ def _best_alternative_value(market: Market, buyer: Buyer) -> Money:
     """``best_alternative(market, buyer.id)[1]`` from the buyer's valued
     tuples alone: any other tuple is worth at most 0 at base prices, and
     the all-null tuple exactly 0."""
-    bases = market.tuple_base_prices
     best = 0
     for choice, value in buyer.valuations.items():
-        base = bases.get(choice)
+        base = market.base_price(choice)
         if base is not None and value - base > best:
             best = value - base
     return best

@@ -301,7 +301,7 @@ class _PartitionSearch:
         tiered = [v for v in market.real_vendors if v.tiers]
         offset = {v.id: i * c for i, v in enumerate(tiered)}
         self.demand_size = len(tiered) * c
-        self.base = [market.tuple_base_prices[choice] for choice in cells]
+        self.base = [market.base_price(choice) for choice in cells]
         # Demand indices that a buyer in each cell adds one to.
         self.slots = [
             tuple(offset[vid] + k for k, vid in enumerate(choice) if vid in offset)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping
 
 from .flow import FlowNetwork, NetworkBuilder, max_flow
@@ -72,12 +73,26 @@ class TransferMatrix:
 
     def net_outflows(self) -> dict[BuyerId, Fraction]:
         """Payments minus receipts per buyer named in the matrix, keyed in
-        order of first appearance (payer before payee within an entry)."""
-        flows: dict[BuyerId, Fraction] = {}
+        order of first appearance (payer before payee within an entry).
+
+        Each buyer's sum is kept as an integer numerator over a common
+        denominator, and one ``Fraction`` is built per buyer at the end."""
+        nums: dict[BuyerId, int] = {}
+        dens: dict[BuyerId, int] = {}
         for (payer, payee), amount in self.entries.items():
-            flows[payer] = flows.get(payer, 0) + amount
-            flows[payee] = flows.get(payee, 0) - amount
-        return flows
+            n, d = amount.numerator, amount.denominator
+            for b, signed in ((payer, n), (payee, -n)):
+                old = dens.get(b)
+                if old is None:
+                    nums[b] = signed
+                    dens[b] = d
+                elif old == d:
+                    nums[b] += signed
+                else:
+                    g = gcd(old, d)
+                    nums[b] = nums[b] * (d // g) + signed * (old // g)
+                    dens[b] = old // g * d
+        return {b: Fraction(n, dens[b]) for b, n in nums.items()}
 
 
 @dataclass(frozen=True)
@@ -207,8 +222,11 @@ def fair_buyer_transfers(
         spent[s] = spent.get(s, 0) + amount
         offers = [(b, amount * gp.surplus[b] * q) for b in gp.positive_groups[s]]
         requests = [(b, -amount * gp.surplus[b] * p) for b in gp.negative_groups[x]]
+        # A payer sits in one positive group and a payee in one negative
+        # group, so each pair is matched under exactly one (s, x).
+        pq = p * q
         for pair, paid in greedy_match(offers, requests).items():
-            entries[pair] = entries.get(pair, 0) + Fraction(paid, p * q)
+            entries[pair] = Fraction(paid, pq)
     return TransferMatrix(entries=entries)
 
 
@@ -217,7 +235,8 @@ def prices_from_transfers(
 ) -> PriceVector:
     """Fold pairwise transfers into each buyer's final price."""
     flows = matrix.net_outflows()
-    deltas = {b: flows.pop(b, Fraction(0)) for b in market.buyer_ids}
+    zero = Fraction(0)
+    deltas = {b: flows.pop(b, zero) for b in market.buyer_ids}
     if flows:
         raise ValueError(f"transfer references unknown buyer {next(iter(flows))!r}")
     return price_vector(market, alloc, deltas)
@@ -231,5 +250,7 @@ def price_vector(
     entries: dict[BuyerId, PriceEntry] = {}
     for b, base in market_prices(market, alloc).items():
         delta = deltas[b]
-        entries[b] = PriceEntry(market_price=base, delta=delta, final=base + delta)
+        d = delta.denominator
+        final = Fraction(base * d + delta.numerator, d)
+        entries[b] = PriceEntry(market_price=base, delta=delta, final=final)
     return PriceVector(entries=entries)

@@ -6,7 +6,9 @@ certificate is meaningful for solutions produced elsewhere (or edited by
 hand).  ``certify`` derives them once per call (``group_partition``), and
 the stability, rationality and fairness checks all read that one group
 partition.  Failing checks always carry concrete witnesses with both sides
-of the violated relation evaluated.
+of the violated relation evaluated.  Rational deltas are compared and summed
+on their integer numerators and (positive) denominators; witnesses print the
+``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ def check_stable(gp: GroupPartition, prices: PriceVector) -> CheckResult:
     witnesses = []
     for b, sigma in gp.surplus.items():
         delta = prices.entries[b].delta
-        if delta > sigma:
+        if delta.numerator > sigma * delta.denominator:
             witnesses.append(
                 f"buyer {b}: price delta {delta} exceeds surplus {sigma}"
             )
@@ -85,7 +87,7 @@ def check_rational_prices(gp: GroupPartition, prices: PriceVector) -> CheckResul
     witnesses = []
     for b, sigma in gp.surplus.items():
         delta = prices.entries[b].delta
-        if delta <= 0:
+        if delta.numerator <= 0:
             continue
         who = f"buyer {b}: pays premium {delta}"
         vendor = bundle_vendor.get(b)
@@ -107,14 +109,18 @@ def check_fair(gp: GroupPartition, prices: PriceVector) -> CheckResult:
     A positive-surplus buyer always holds a triggered full bundle, so the
     same-choice classes are the positive groups.  Proportionality is an
     equivalence, so each member is compared with its group's first member.
+    Denominators are positive, so ``d_f·σ_o = d_o·σ_f`` is compared on
+    integers as ``n_f·σ_o·q_o = n_o·σ_f·q_f`` for ``d = n/q``.
     """
     sigma = gp.surplus
     witnesses = []
     for first, *rest in gp.positive_groups.values():
         d_first = prices.entries[first].delta
+        n_f, q_f = d_first.numerator, d_first.denominator
         for other in rest:
             d_other = prices.entries[other].delta
-            if d_first * sigma[other] != d_other * sigma[first]:
+            n_o, q_o = d_other.numerator, d_other.denominator
+            if n_f * sigma[other] * q_o != n_o * sigma[first] * q_f:
                 witnesses.append(
                     f"buyers {first},{other}: {d_first}*{sigma[other]} != "
                     f"{d_other}*{sigma[first]}"
@@ -167,7 +173,13 @@ def check_p_consistent(prices: PriceVector, matrix: TransferMatrix) -> CheckResu
 
 
 def check_budget_balance(prices: PriceVector) -> CheckResult:
-    total = sum((e.delta for e in prices.entries.values()), Fraction(0))
+    """Price deltas sum to zero: numerators are summed per denominator, and
+    only the few per-denominator sums are added as ``Fraction``s."""
+    buckets: dict[int, int] = {}
+    for entry in prices.entries.values():
+        d = entry.delta
+        buckets[d.denominator] = buckets.get(d.denominator, 0) + d.numerator
+    total = sum((Fraction(n, q) for q, n in buckets.items()), Fraction(0))
     if total != 0:
         return _fail([f"price deltas sum to {total}, expected 0"])
     return _fail([])

@@ -1,12 +1,14 @@
 """CLI commands, exit codes, reproducibility, generator output."""
 
 import json
+import sys
 
 import pytest
 
 from gbb.cli import main
 from gbb.generate import generate_instance
 from gbb.model import validate_market
+from gbb.verify import STANDARD_CHECKS
 from tests.conftest import data_path
 
 
@@ -96,7 +98,22 @@ def test_solve_budget_exceeded(capsys, fix_e2_path):
     assert "exceed the configured cap" in err
 
 
-def test_counts_and_caps_do_not_build_the_cells(capsys, tmp_path, monkeypatch):
+def test_unreadable_documents_exit_2(capsys, tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"schema": "gbb-market/1\xff"}')
+    code, _, err = run(capsys, ["solve", str(bad)])
+    assert code == 2
+    assert "invalid JSON" in err
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:  # interpreters with the int-from-string digit limit
+        bad.write_text('{"item_types": ' + "1" * (limit + 1) + "}")
+        code, _, err = run(capsys, ["solve", str(bad)])
+        assert code == 2
+        assert "invalid JSON" in err
+
+
+def write_wide_instance(tmp_path, monkeypatch):
+    """A 1-vendor, 1-buyer instance with 2^64 cells; building them fails."""
     from gbb.model import Market
 
     def unbuilt(market):
@@ -114,6 +131,11 @@ def test_counts_and_caps_do_not_build_the_cells(capsys, tmp_path, monkeypatch):
             }
         )
     )
+    return wide
+
+
+def test_counts_and_caps_do_not_build_the_cells(capsys, tmp_path, monkeypatch):
+    wide = write_wide_instance(tmp_path, monkeypatch)
     code, out, _ = run(capsys, ["partitions", str(wide)])
     assert code == 0
     assert out.strip() == f"buyers=1 cells={2**64} partitions={2**64}"
@@ -121,6 +143,36 @@ def test_counts_and_caps_do_not_build_the_cells(capsys, tmp_path, monkeypatch):
         code, _, err = run(capsys, [command, str(wide)])
         assert code == 3
         assert "exceed the configured cap" in err
+
+
+def test_verify_does_not_build_the_cells(capsys, tmp_path, monkeypatch):
+    wide = write_wide_instance(tmp_path, monkeypatch)
+    sol = tmp_path / "wide.solve.json"
+    sol.write_text(
+        json.dumps(
+            {
+                "schema": "gbb-solution/1",
+                "social_welfare": 0,
+                "allocation": {"b1": ["null"] * 64},
+                "buyers": {
+                    "b1": {
+                        "market_price": 0,
+                        "delta": "0",
+                        "final_price": "0",
+                        "utility": 0,
+                        "surplus": 0,
+                    }
+                },
+                "group_transfers": [],
+                "transfers": [],
+                "certificate": None,
+                "metadata": {},
+            }
+        )
+    )
+    code, out, _ = run(capsys, ["verify", str(wide), str(sol)])
+    assert code == 0
+    assert out.splitlines() == [f"{check}: PASS" for check in STANDARD_CHECKS]
 
 
 def test_solve_unstabilizable_exit(capsys, fix_e1_path, monkeypatch):

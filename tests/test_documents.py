@@ -1,6 +1,7 @@
 """Document schemas: strictness, canonical round trips, rational strings."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,9 +28,21 @@ def test_rational_strings():
     assert rational_to_str(5) == "5"
     assert rational_from_str("3/4") == Fraction(3, 4)
     assert rational_from_str("-7") == -7
-    for bad in ("", "1/0", "1.5", "a/b", "1/-2", None, 3):
+    assert rational_from_str("6/4") == Fraction(3, 2)
+    assert rational_from_str("-0") == 0
+    for text in ("3/4", "-7", "6/4", "-0"):
+        assert type(rational_from_str(text)) is Fraction
+    # A trailing newline and non-ASCII digits ("\u0663" is ARABIC-INDIC
+    # DIGIT THREE) are not literals.
+    bad_literals = ("", "1/0", "1.5", "a/b", "1/-2", None, 3)
+    bad_literals += ("3\n", "1/2\n", "\u0663", "1/1\u0663")
+    for bad in bad_literals:
         with pytest.raises(DocumentError):
             rational_from_str(bad)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:  # interpreters with the int-from-string digit limit
+        with pytest.raises(DocumentError):
+            rational_from_str("1/" + "1" * (limit + 1))
 
 
 def test_instance_round_trip(fix_e1_path, fix_e2_path):

@@ -302,6 +302,22 @@ def test_market_price_of_choice_rejects_unknown_vendor(fix_e1):
     assert market_price_of_choice(fix_e1, ("s1", "s2"), trig) == 7
     with pytest.raises(ValueError, match="unknown vendor id 'zz'"):
         market_price_of_choice(fix_e1, ("s1", "zz"), trig)
+    # ("s1",) and ("s1",) * 3 name only the triggered s1, yet are no bundle
+    for bad in (("s1",), ("s2",), ("s1", "s1", "s1"), ("s2", "s1", "s1"), ()):
+        with pytest.raises(ValueError, match=f"has arity {len(bad)}, expected 2"):
+            market_price_of_choice(fix_e1, bad, trig)
+
+
+def test_base_price_builds_no_other_tuple(fix_e1):
+    cells = fix_e1.vendor_tuples
+    assert fix_e1.base_price(("s1", "zz")) is None
+    assert fix_e1.base_price(("s1",)) is None
+    assert fix_e1.base_price(("s1", "s1", "s1")) is None
+    fresh = Market.build(c=fix_e1.c, vendors=list(fix_e1.vendors), buyers=[])
+    for choice in cells:
+        expected = sum(fix_e1.vendor(v).base_prices[k] for k, v in enumerate(choice))
+        assert fresh.base_price(choice) == expected
+    assert "vendor_tuples" not in vars(fresh)
 
 
 # --- per-buyer reference pricing ----------------------------------------------

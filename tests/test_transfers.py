@@ -267,6 +267,94 @@ def test_prices_from_transfers_fixtures(fix_e1, fix_e2):
     assert sum(e.delta for e in pv2.entries.values()) == 0
 
 
+# --- integer folds against plain ``Fraction`` arithmetic -----------------------
+
+
+def reference_net_outflows(matrix):
+    """The fold as plain ``Fraction`` additions."""
+    flows = {}
+    for (payer, payee), amount in matrix.entries.items():
+        flows[payer] = flows.get(payer, Fraction(0)) + amount
+        flows[payee] = flows.get(payee, Fraction(0)) - amount
+    return flows
+
+
+def random_matrix(rng, buyers, size):
+    """Entries over shared denominators (6, 12, 35), coprime ones (7, 11, 97,
+    2^61 - 1) and ``int`` amounts; a buyer may both pay and receive."""
+    pairs = [(a, b) for a in buyers for b in buyers if a != b]
+    entries = {}
+    for payer, payee in rng.sample(pairs, min(size, len(pairs))):
+        kind = rng.randrange(3)
+        if kind == 0:
+            amount = rng.randint(1, 9)
+        else:
+            dens = (6, 12, 35) if kind == 1 else (7, 11, 97, 2**61 - 1)
+            amount = Fraction(rng.randint(1, 50), rng.choice(dens))
+        entries[(payer, payee)] = amount
+    return TransferMatrix(entries=entries)
+
+
+def test_net_outflows_match_a_fraction_fold():
+    rng = random.Random(1201)
+    both_ways = rescaled = 0
+    for trial in range(300):
+        buyers = [f"b{i}" for i in range(rng.randint(2, 7))]
+        matrix = random_matrix(rng, buyers, rng.randint(1, 16))
+        flows = matrix.net_outflows()
+        # values and key order (payer before payee, first appearance)
+        assert list(flows.items()) == list(reference_net_outflows(matrix).items())
+        assert all(type(v) is Fraction for v in flows.values())
+        payers = {p for p, _ in matrix.entries}
+        payees = {q for _, q in matrix.entries}
+        both_ways += bool(payers & payees)
+        dens = {}
+        for (p, q), amount in matrix.entries.items():
+            for b in (p, q):
+                dens.setdefault(b, set()).add(Fraction(amount).denominator)
+        rescaled += any(len(d) > 1 for d in dens.values())
+    assert both_ways >= 100 and rescaled >= 100
+
+
+def test_price_vector_final_is_market_price_plus_delta():
+    from gbb.model import market_price_of_choice, market_prices, triggered
+    from gbb.transfers import price_vector
+
+    rng = random.Random(1202)
+    for trial in range(60):
+        market = generate_instance(
+            buyers=rng.randint(1, 6),
+            vendors=rng.randint(1, 3),
+            items=rng.randint(1, 2),
+            seed=1200 + trial,
+            max_value=20,
+        )
+        cells = market.vendor_tuples
+        alloc = Allocation({b: rng.choice(cells) for b in market.buyer_ids})
+        trig = triggered(market, alloc)
+        base = market_prices(market, alloc)
+        assert base == {
+            b: market_price_of_choice(market, alloc.choice[b], trig)
+            for b in market.buyer_ids
+        }
+        deltas = {
+            b: rng.choice(
+                (
+                    rng.randint(-9, 9),
+                    Fraction(rng.randint(-50, 50), rng.choice((1, 6, 7, 12, 97))),
+                )
+            )
+            for b in market.buyer_ids
+        }
+        prices = price_vector(market, alloc, deltas)
+        assert list(prices.entries) == list(market.buyer_ids)
+        for b, entry in prices.entries.items():
+            assert entry.market_price == base[b]
+            assert entry.delta is deltas[b]
+            assert entry.final == entry.market_price + entry.delta
+            assert type(entry.final) is Fraction
+
+
 def test_prices_with_empty_matrix(fix_e1):
     pv = prices_from_transfers(fix_e1, MU_A, TransferMatrix(entries={}))
     for entry in pv.entries.values():

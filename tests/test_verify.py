@@ -394,3 +394,134 @@ def test_group_condition_agrees_with_reference():
             assert result.passed != bool(result.witnesses)
             verdicts.append(result.passed)
     assert 50 <= sum(verdicts) <= len(verdicts) - 50, sum(verdicts)
+
+
+# --- integer arithmetic against the ``Fraction`` formulas ---------------------
+
+
+def fraction_stable_witnesses(gp, prices):
+    return [
+        f"buyer {b}: price delta {prices.entries[b].delta} exceeds surplus {sigma}"
+        for b, sigma in gp.surplus.items()
+        if prices.entries[b].delta > sigma
+    ]
+
+
+def fraction_fair_witnesses(gp, prices):
+    sigma = gp.surplus
+    witnesses = []
+    for first, *rest in gp.positive_groups.values():
+        d_first = prices.entries[first].delta
+        for other in rest:
+            d_other = prices.entries[other].delta
+            if d_first * sigma[other] != d_other * sigma[first]:
+                witnesses.append(
+                    f"buyers {first},{other}: {d_first}*{sigma[other]} != "
+                    f"{d_other}*{sigma[first]}"
+                )
+    return witnesses
+
+
+def fraction_budget_witnesses(prices):
+    total = sum((e.delta for e in prices.entries.values()), Fraction(0))
+    return [] if total == 0 else [f"price deltas sum to {total}, expected 0"]
+
+
+def tampered_deltas(rng, deltas):
+    """Pipeline deltas rescaled (sign flips and coprime factors keep fairness
+    and balance), shifted between two buyers (keeps balance), nudged at one
+    buyer, or with one sign flipped; integral values sometimes become ints."""
+    ids = list(deltas)
+    out = dict(deltas)
+    kind = rng.randrange(4)
+    if kind == 0:
+        factor = rng.choice((-1, -2, Fraction(3, 7), Fraction(-5, 11)))
+        out = {b: d * factor for b, d in out.items()}
+    elif kind == 1 and len(ids) > 1:
+        a, b = rng.sample(ids, 2)
+        eps = Fraction(rng.randint(1, 5), rng.choice((1, 7, 11, 97)))
+        out[a] -= eps
+        out[b] += eps
+    elif kind == 2:
+        out[rng.choice(ids)] += Fraction(rng.choice((-1, 1)), rng.choice((1, 3, 13)))
+    else:
+        b = rng.choice(ids)
+        out[b] = -out[b]
+    return {
+        b: int(d) if d.denominator == 1 and rng.random() < 0.5 else d
+        for b, d in out.items()
+    }
+
+
+def drawn_bundle_market(rng, payers, needy):
+    """``make_large_market``'s shape with drawn payer values: surpluses 5..8
+    differ, so the payers' deltas reduce to different denominators."""
+    from gbb.model import Buyer, DiscountTier, Market, Vendor
+
+    threshold = payers + needy // 2
+    vendors = [
+        Vendor("s1", (10, 10), (DiscountTier((threshold, threshold), 12),)),
+        Vendor("s2", (3, 3)),
+    ]
+    buyers, choice = [], {}
+    for i in range(payers):
+        buyers.append(Buyer(f"a{i:03d}", {("s1", "s1"): rng.randint(17, 20)}))
+        choice[f"a{i:03d}"] = ("s1", "s1")
+    for i in range(needy):
+        buyers.append(Buyer(f"b{i:03d}", {("s1", "s1"): 13, ("s2", "s2"): 8}))
+        choice[f"b{i:03d}"] = ("s1", "s1")
+        buyers.append(Buyer(f"c{i:03d}", {("s1", "s2"): 12, ("s2", "s2"): 7}))
+        choice[f"c{i:03d}"] = ("s1", "s2")
+    return Market.build(c=2, vendors=vendors, buyers=buyers), Allocation(choice)
+
+
+def test_integer_checks_match_the_fraction_formulas():
+    from tests.test_acceptance import make_large_market
+
+    rng = random.Random(1203)
+    cases = [make_large_market()]
+    cases += [drawn_bundle_market(rng, 30, 10) for _ in range(10)]
+    for trial in range(80):
+        market = generate_instance(
+            buyers=rng.randint(2, 7),
+            vendors=rng.randint(1, 2),
+            items=rng.randint(1, 2),
+            seed=1300 + trial,
+            max_value=rng.choice((15, 40)),
+        )
+        cases.append((market, solve_swm(market).allocation))
+    verdicts = {"stable": [], "fair": [], "budget_balance": []}
+    negative = 0
+    for market, alloc in cases:
+        gp, _, _, prices = pipeline(market, alloc)
+        base = {b: e.delta for b, e in prices.entries.items()}
+        for deltas in (base, *(tampered_deltas(rng, base) for _ in range(6))):
+            tampered = price_vector(market, alloc, deltas)
+            negative += any(d < 0 for d in deltas.values())
+            for name, result, witnesses in (
+                (
+                    "stable",
+                    check_stable(gp, tampered),
+                    fraction_stable_witnesses(gp, tampered),
+                ),
+                (
+                    "fair",
+                    check_fair(gp, tampered),
+                    fraction_fair_witnesses(gp, tampered),
+                ),
+                (
+                    "budget_balance",
+                    check_budget_balance(tampered),
+                    fraction_budget_witnesses(tampered),
+                ),
+            ):
+                assert list(result.witnesses) == witnesses, name
+                assert result.passed == (not witnesses)
+                verdicts[name].append(result.passed)
+    assert negative >= 100
+    # the drawn markets' fair deltas differ in denominator within a group
+    gp, _, _, prices = pipeline(*cases[1])
+    payers = gp.positive_groups["s1"]
+    assert len({prices.entries[b].delta.denominator for b in payers}) > 1
+    for name, passed in verdicts.items():
+        assert 20 <= sum(passed) <= len(passed) - 20, (name, sum(passed))
