@@ -212,6 +212,8 @@ def _read_json(path: str) -> Any:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # bad JSON, bad UTF-8, or an int too long to parse
         raise DocumentError(f"{path}: invalid JSON ({exc})") from exc
+    except RecursionError as exc:  # arrays or objects nested too deeply
+        raise DocumentError(f"{path}: JSON nested too deeply ({exc})") from exc
 
 
 def load_instance(path: str) -> Market:

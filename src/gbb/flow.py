@@ -1,5 +1,8 @@
 """Integer max-flow and min-cost max-flow on small directed networks.
 
+Capacities and costs are nonnegative integers; ``FlowNetwork`` rejects a
+negative one.
+
 The solvers are deterministic by construction: augmenting paths are
 shortest-first with ties resolved by edge insertion order, so identical
 networks always produce identical flows (and identical downstream
@@ -40,6 +43,8 @@ class FlowNetwork:
                 raise ValueError(f"self-loop at node {edge.tail}")
             if edge.capacity < 0:
                 raise ValueError(f"negative capacity on edge {edge}")
+            if edge.cost < 0:
+                raise ValueError(f"negative cost on edge {edge}")
 
 
 class NetworkBuilder:
@@ -155,60 +160,22 @@ def max_flow(net: FlowNetwork) -> Flow:
 def min_cost_max_flow(net: FlowNetwork) -> Flow:
     """Minimum-cost maximum integral flow via successive shortest paths.
 
-    Negative edge costs are handled with node potentials, initialized by a
-    FIFO label-correcting pass.  Successive shortest paths needs that pass
-    to settle, so a network in which the source reaches a negative-cost
-    cycle raises ``ValueError``.
+    Edge costs are nonnegative (``FlowNetwork`` rejects others), so the
+    node potentials start at zero and each round's Dijkstra distances keep
+    every reduced cost nonnegative.
     """
     res = _Residual(net)
     n = net.node_count
     source, sink = net.source, net.sink
 
-    # ``unreachable`` is an integer above every label a reachable node can
-    # get.  With C the largest |cost| and no negative cycle, a potential is
-    # a shortest-path distance over at most n - 1 residual edges, so
-    # |potential| <= (n - 1)C; a reduced distance is a distance minus a
-    # potential, so it lies in [0, 2(n - 1)C]; a Dijkstra candidate is a
-    # distance plus one edge minus a potential, at most (2n - 1)C, and a
-    # first label in the label-correcting pass is at most nC.  A node that
-    # pass leaves unlabelled stays unreachable: augmenting only adds
-    # residual edges between nodes the source already reaches.
-    unreachable = 2 * n * max([1] + [abs(edge.cost) for edge in net.edges]) + 1
-
-    # Label-correcting initialization of potentials (shortest distances
-    # from the source over positive-capacity edges).  Without a negative
-    # cycle every node is queued at most n - 1 times.
-    pot: list[int] = [unreachable] * n
-    pot[source] = 0
-    in_queue = [False] * n
-    queued = [0] * n
-    queue = [source]
-    in_queue[source] = True
-    queued[source] = 1
-    qi = 0
-    while qi < len(queue):
-        u = queue[qi]
-        qi += 1
-        in_queue[u] = False
-        du = pot[u]
-        for eid in res.adj[u]:
-            if res.cap[eid] <= 0:
-                continue
-            v = res.head[eid]
-            nd = du + res.cost[eid]
-            if nd < pot[v]:
-                pot[v] = nd
-                if not in_queue[v]:
-                    queued[v] += 1
-                    if queued[v] >= n:
-                        raise ValueError(
-                            f"negative-cost cycle through node {v}"
-                        )
-                    queue.append(v)
-                    in_queue[v] = True
+    # ``unreachable`` is an integer above every Dijkstra candidate: with C
+    # the largest cost, a potential lies in [0, (n - 1)C] and a reduced
+    # distance in [0, (n - 1)C], so a candidate is at most (2n - 1)C.
+    unreachable = 2 * n * max([1] + [edge.cost for edge in net.edges]) + 1
+    pot = [0] * n
 
     value = 0
-    while pot[sink] < unreachable:
+    while True:
         dist: list[int] = [unreachable] * n
         dist[source] = 0
         parent_edge = [-1] * n
@@ -221,8 +188,6 @@ def min_cost_max_flow(net: FlowNetwork) -> Flow:
                 if res.cap[eid] <= 0:
                     continue
                 v = res.head[eid]
-                if pot[v] == unreachable:
-                    continue
                 nd = d + res.cost[eid] + pot[u] - pot[v]
                 if nd < dist[v]:
                     dist[v] = nd

@@ -112,6 +112,14 @@ class Market:
         ids = sorted(v.id for v in self.vendors)
         return tuple(itertools.product(ids, repeat=self.c))
 
+    @cached_property
+    def _free_tuple(self) -> VendorTuple:
+        """The smallest tuple whose every vendor charges 0 for its item."""
+        return tuple(
+            min(v.id for v in self.vendors if v.base_prices[k] == 0)
+            for k in range(self.c)
+        )
+
     def base_price(self, choice: VendorTuple) -> Money | None:
         """Undiscounted price of ``choice``, or None when it names an unknown
         vendor or has the wrong arity; no other tuple is built."""
@@ -361,40 +369,31 @@ def social_welfare(market: Market, alloc: Allocation) -> Money:
 def best_alternative(market: Market, buyer_id: BuyerId) -> tuple[VendorTuple, Money]:
     """Best utility achievable at base prices over every vendor tuple.
 
-    The all-null tuple guarantees a value of at least 0.  Ties go to the
-    lexicographically smallest tuple.
+    Ties go to the lexicographically smallest tuple.  Only the buyer's
+    valued tuples are scanned: any other tuple is worth at most 0 at base
+    prices, and exactly 0 when all its vendors charge 0 for their item, so
+    the smallest such tuple (all-null at worst) is the best one left.
     """
-    buyer = market.buyer(buyer_id)
-    best_choice: VendorTuple | None = None
-    best_value = 0
-    for choice in market.vendor_tuples:
-        value = buyer.valuation(choice) - market.base_price(choice)
-        if best_choice is None or value > best_value:
-            best_choice = choice
-            best_value = value
-    assert best_choice is not None
-    return best_choice, best_value
-
-
-def _best_alternative_value(market: Market, buyer: Buyer) -> Money:
-    """``best_alternative(market, buyer.id)[1]`` from the buyer's valued
-    tuples alone: any other tuple is worth at most 0 at base prices, and
-    the all-null tuple exactly 0."""
-    best = 0
-    for choice, value in buyer.valuations.items():
+    best_choice, best_value = None, 0
+    for choice, value in market.buyer(buyer_id).valuations.items():
         base = market.base_price(choice)
-        if base is not None and value - base > best:
-            best = value - base
-    return best
+        if base is None:
+            continue
+        value -= base
+        if value > best_value or (
+            value == best_value and (best_choice is None or choice < best_choice)
+        ):
+            best_choice, best_value = choice, value
+    free = market._free_tuple
+    if best_value == 0 and (best_choice is None or free < best_choice):
+        best_choice = free
+    return best_choice, best_value
 
 
 def all_surpluses(market: Market, alloc: Allocation) -> dict[BuyerId, Money]:
     """Each buyer's utility minus her best base-price alternative's."""
     u = utilities(market, alloc)
-    return {
-        buyer.id: u[buyer.id] - _best_alternative_value(market, buyer)
-        for buyer in market.buyers
-    }
+    return {b: u[b] - best_alternative(market, b)[1] for b in market.buyer_ids}
 
 
 def group_partition(market: Market, alloc: Allocation) -> GroupPartition:

@@ -109,10 +109,13 @@ class _AssignmentLayout:
     """Bipartite network routing each buyer to a vendor-tuple slot.
 
     Source->buyer edges have unit capacity; buyer->tuple edges, tagged
-    ``(buyer id, choice)``, carry cost equal to the negated valuation.
-    Both are built once per market; a partition only appends its
-    tuple->sink edges, whose capacities are the per-tuple counts.
-    The same valuations back ``upper_bound``.
+    ``(buyer id, choice)``, cost ``ceiling`` less the valuation, where
+    ``ceiling`` is the market's largest valuation, so no cost is negative.
+    Every buyer crosses exactly one such edge, so a flow routing all N
+    buyers is worth ``N * ceiling`` less its cost.  Both edge sets are
+    built once per market; a partition only appends its tuple->sink edges,
+    whose capacities are the per-tuple counts.  The same valuations back
+    ``upper_bound``.
     """
 
     def __init__(self, market: Market) -> None:
@@ -121,6 +124,7 @@ class _AssignmentLayout:
             [buyer.valuation(choice) for choice in market.vendor_tuples]
             for buyer in market.buyers
         ]
+        self.ceiling = max((v for row in values for v in row), default=0)
         builder = NetworkBuilder()
         self.source = builder.add_node()
         buyer_nodes = [builder.add_node() for _ in market.buyers]
@@ -132,7 +136,9 @@ class _AssignmentLayout:
             for choice, slot, value in zip(
                 market.vendor_tuples, self.tuple_nodes, row
             ):
-                builder.add_edge(node, slot, 1, -value, tag=(buyer.id, choice))
+                builder.add_edge(
+                    node, slot, 1, self.ceiling - value, tag=(buyer.id, choice)
+                )
         self.fixed = builder.build(self.source, self.sink)
         # Per buyer, (cell, value) pairs from best to worst cell; per cell j,
         # top[j][k] is the sum of the k largest values in column j.
@@ -185,7 +191,7 @@ class _AssignmentLayout:
                 f"assignment flow routed {flow.value} of {n_buyers} buyers"
             )
         choice = {tag[0]: tag[1] for tag, f in flow.tagged() if f > 0}
-        return choice, -flow.cost
+        return choice, n_buyers * self.ceiling - flow.cost
 
 
 def _counts_of(market: Market, partition: Partition) -> tuple[int, ...]:

@@ -110,6 +110,16 @@ def test_unreadable_documents_exit_2(capsys, tmp_path):
         code, _, err = run(capsys, ["solve", str(bad)])
         assert code == 2
         assert "invalid JSON" in err
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for argv in (
+        ["solve", str(deep)],
+        ["verify", str(deep), data_path("fix_e1.solve.json")],
+        ["verify", data_path("fix_e1.json"), str(deep)],
+    ):
+        code, _, err = run(capsys, argv)
+        assert code == 2, argv
+        assert "nested too deeply" in err
 
 
 def write_wide_instance(tmp_path, monkeypatch):

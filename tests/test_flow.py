@@ -145,7 +145,7 @@ def random_dag_network(rng, max_nodes=12):
                 continue
             if rng.random() < 0.45:
                 edges.append(
-                    Edge(tail, h, rng.randint(0, 9), rng.randint(-9, 9))
+                    Edge(tail, h, rng.randint(0, 9), rng.randint(-9, 9) + 9)
                 )
     if not edges:
         edges.append(Edge(source, sink, rng.randint(1, 9), 0))
@@ -165,6 +165,32 @@ def test_hand_min_cut():
     assert min_cut_capacity(net) == 3
 
 
+def test_both_solvers_cancel_flow_on_the_first_shortest_path():
+    # s=0 -> a=1 -> b=2 -> t=7 is the only 3-edge path and the cheapest, but
+    # a maximum flow routes s-a-e-f-t and s-g-h-b-t: the second augmenting
+    # path has to push back along a->b.
+    net = net_from_edges(
+        8,
+        0,
+        7,
+        [
+            (0, 1, 1, 0),
+            (1, 2, 1, 0),
+            (2, 7, 1, 0),
+            (1, 3, 1, 1),
+            (3, 4, 1, 1),
+            (4, 7, 1, 1),
+            (0, 5, 1, 1),
+            (5, 6, 1, 1),
+            (6, 2, 1, 1),
+        ],
+    )
+    assert max_flow(net).value == min_cut_capacity(net) == 2
+    flow = min_cost_max_flow(net)
+    assert (flow.value, flow.cost) == (2, 6)
+    assert flow.edge_flows[1] == 0
+
+
 def test_fix_e1_transfer_network_value(fix_e1):
     from gbb.model import Allocation, group_partition
     from gbb.transfers import group_transfer_network
@@ -175,24 +201,27 @@ def test_fix_e1_transfer_network_value(fix_e1):
 
 
 def test_min_cost_prefers_cheaper_parallel_edge():
-    net = net_from_edges(3, 0, 2, [(0, 1, 1, 0), (1, 2, 1, -5), (1, 2, 1, -3)])
+    net = net_from_edges(3, 0, 2, [(0, 1, 1, 0), (1, 2, 1, 4), (1, 2, 1, 6)])
     flow = min_cost_max_flow(net)
     assert flow.value == 1
-    assert flow.cost == -5
+    assert flow.cost == 4
 
 
 def test_min_cost_on_fixture_assignment_networks(fix_e1, fix_e2):
     from gbb.swm import Partition, assignment_network
 
+    # Each cost is the market's largest valuation (10, then 9) less the
+    # buyer's, so the assignments worth 16 and 24 cost 2 * 10 - 16 and
+    # 3 * 9 - 24.
     net1 = assignment_network(fix_e1, Partition({("s1", "s1"): 2}))
     flow1 = min_cost_max_flow(net1)
-    assert (flow1.value, flow1.cost) == (2, -16)
+    assert (flow1.value, flow1.cost) == (2, 4)
 
     net2 = assignment_network(
         fix_e2, Partition({("s1", "s1"): 2, ("s1", "s2"): 1})
     )
     flow2 = min_cost_max_flow(net2)
-    assert (flow2.value, flow2.cost) == (3, -24)
+    assert (flow2.value, flow2.cost) == (3, 3)
 
 
 def test_random_networks_against_oracles():
@@ -249,18 +278,9 @@ def test_malformed_networks_rejected():
         net_from_edges(2, 0, 1, [(0, 1, -2)])
     with pytest.raises(ValueError, match="out of range"):
         net_from_edges(2, 0, 4, [(0, 1, 1)])
-
-
-def test_min_cost_rejects_reachable_negative_cycle():
-    # 1 -> 2 -> 1 costs -2 and the source reaches it
-    net = net_from_edges(
-        4, 0, 3, [(0, 1, 1, 0), (1, 2, 1, -1), (2, 1, 1, -1), (2, 3, 1, 0)]
-    )
-    with pytest.raises(ValueError, match="negative-cost cycle"):
-        min_cost_max_flow(net)
-    # the same cycle cut off from the source leaves the flow well defined
-    net = net_from_edges(
-        4, 0, 3, [(0, 3, 2, 5), (1, 2, 1, -1), (2, 1, 1, -1)]
-    )
-    flow = min_cost_max_flow(net)
-    assert (flow.value, flow.cost) == (2, 10)
+    # negative costs are refused when the network is built, even on a
+    # cycle the source cannot reach
+    with pytest.raises(ValueError, match="negative cost"):
+        net_from_edges(2, 0, 1, [(0, 1, 1, -1)])
+    with pytest.raises(ValueError, match="negative cost"):
+        net_from_edges(4, 0, 3, [(0, 3, 2, 5), (1, 2, 1, 1), (2, 1, 1, -1)])

@@ -453,12 +453,23 @@ def test_group_partition_derives_the_tiers_once(fix_e2, monkeypatch):
     assert len(calls) == 1
 
 
+def full_scan_best_alternative(market, buyer_id):
+    """Reference: every vendor tuple at base prices, the first maximum wins."""
+    buyer = market.buyer(buyer_id)
+    best = None
+    for choice in market.vendor_tuples:
+        value = buyer.valuation(choice) - market.base_price(choice)
+        if best is None or value > best[1]:
+            best = (choice, value)
+    return best
+
+
 def test_surpluses_take_the_best_alternative_from_valued_tuples():
-    # all_surpluses reads each buyer's valued tuples only; best_alternative
-    # scans every tuple.  Ids sort on both sides of "null" and base prices
-    # include 0, so unvalued tuples tie the all-null floor.
+    # best_alternative reads each buyer's valued tuples only.  Ids sort on
+    # both sides of "null" and base prices include 0, so unvalued tuples
+    # tie the all-null floor and a smaller zero-price tuple can beat it.
     rng = random.Random(4242)
-    for trial in range(200):
+    for trial in range(600):
         c = rng.randint(1, 3)
         ids = rng.sample(["A", "kx", "nu", "s1", "z"], rng.randint(1, 3))
         vendors = [Vendor(vid, tuple(rng.randint(0, 3) for _ in range(c))) for vid in ids]
@@ -472,8 +483,42 @@ def test_surpluses_take_the_best_alternative_from_valued_tuples():
             )
         market = Market.build(c=c, vendors=vendors, buyers=buyers)
         assert validate_market(market).ok
+        for b in market.buyer_ids:
+            assert best_alternative(market, b) == full_scan_best_alternative(
+                market, b
+            ), trial
         alloc = _random_allocation(rng, market)
         u = utilities(market, alloc)
         assert all_surpluses(market, alloc) == {
-            b: u[b] - best_alternative(market, b)[1] for b in market.buyer_ids
+            b: u[b] - full_scan_best_alternative(market, b)[1]
+            for b in market.buyer_ids
         }, trial
+
+
+def test_best_alternative_builds_no_vendor_tuple(monkeypatch):
+    def unbuilt(market):
+        raise AssertionError("vendor tuples built")
+
+    monkeypatch.setattr(Market, "vendor_tuples", property(unbuilt))
+    c = 64
+    bundle = ("s1",) * c
+    # "a" charges 0 for the even items and sorts before "null"
+    free = tuple("a" if k % 2 == 0 else NULL_VENDOR for k in range(c))
+    market = Market.build(
+        c=c,
+        vendors=[
+            Vendor("a", tuple(k % 2 for k in range(c))),
+            Vendor("s1", (1,) * c),
+        ],
+        buyers=[
+            Buyer("b1", {bundle: 100}),
+            Buyer("b2", {}),
+            Buyer("b3", {bundle: c}),
+            Buyer("b4", {bundle: 10}),
+        ],
+    )
+    assert best_alternative(market, "b1") == (bundle, 100 - c)
+    for b in ("b2", "b3", "b4"):
+        assert best_alternative(market, b) == (free, 0)
+    alloc = Allocation({"b1": free, "b2": free, "b3": bundle, "b4": free})
+    assert all_surpluses(market, alloc) == {"b1": -36, "b2": 0, "b3": 0, "b4": 0}

@@ -19,6 +19,7 @@ from gbb.model import (
 from gbb.swm import (
     BudgetExceeded,
     Partition,
+    _AssignmentLayout,
     _PartitionSearch,
     assignment_network,
     best_allocation_for_partition,
@@ -64,9 +65,11 @@ def test_assignment_network_shape(fix_e1):
     assert len(sink_edges) == 9
     assert all(e.capacity == 1 and e.cost == 0 for e in source_edges)
     assert {e.capacity for e in sink_edges} == {0, 2}
+    # each cost is the largest valuation (b1's 10) less the buyer's own
     costs = {e.tag: e.cost for e in middle_edges}
-    assert costs[("b1", ("s1", "s1"))] == -10
-    assert costs[("b1", ("s1", "s2"))] == 0
+    assert costs[("b1", ("s1", "s1"))] == 0
+    assert costs[("b1", ("s1", "s2"))] == 10
+    assert costs[("b2", ("s2", "s2"))] == 2
 
 
 def test_zero_capacity_cell_gets_no_buyers(fix_e1):
@@ -314,12 +317,14 @@ def test_bound_skips_most_flows():
 def _flat_reference(market):
     """Last welfare maximum over every partition, each solved by its flow."""
     best = None
+    layout = _AssignmentLayout(market)
     n, cells = len(market.buyers), len(market.vendor_tuples)
     for counts in enumerate_partitions(n, cells):
         part = Partition(dict(zip(market.vendor_tuples, counts)))
-        alloc, welfare = best_allocation_for_partition(market, part)
+        choice, value = layout.solve(counts)
+        welfare = value - total_price(market, part)
         if best is None or welfare >= best[0]:
-            best = (welfare, part, alloc)
+            best = (welfare, part, choice)
     return best
 
 
@@ -339,11 +344,11 @@ def test_pruned_solver_picks_the_flat_enumerations_partition():
             seed=rng.randrange(10**6),
             max_value=rng.choice((2, 3, 6, 20)),
         )
-        welfare, part, alloc = _flat_reference(market)
+        welfare, part, choice = _flat_reference(market)
         res = solve_swm(market)
         assert res.social_welfare == welfare
         assert res.partition.counts == part.counts
-        assert res.allocation.choice == alloc.choice
+        assert res.allocation.choice == choice
         checked += 1
 
 
