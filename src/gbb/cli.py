@@ -6,13 +6,15 @@ instance generation), ``verify`` (re-run every check on a stored
 solution), ``partitions`` (print the partition count for an instance).
 
 Exit codes: 0 success / all checks pass, 1 a certificate check failed,
-2 parse or validation error, 3 enumeration budget exceeded, 4 transfers
-cannot stabilize the allocation.
+2 parse or validation error or an output file that cannot be written,
+3 enumeration budget exceeded, 4 transfers cannot stabilize the
+allocation, 5 an unexpected internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from typing import Callable
@@ -59,12 +61,16 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_UNSTABILIZABLE = 4
+EXIT_INTERNAL = 5
 
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DocumentError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -248,7 +254,14 @@ def cmd_partitions(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``gbb`` parser, built once per process and shared by every caller.
+
+    Callers must not change it; ``parse_args`` leaves it unchanged.  The
+    ``cmd_*`` functions it dispatches to look their collaborators up at
+    call time, so patching a name in this module still takes effect.
+    """
     parser = argparse.ArgumentParser(
         prog="gbb",
         description=(
@@ -324,6 +337,11 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(exc, EXIT_BUDGET)
     except Unstabilizable as exc:
         return _fail(exc, EXIT_UNSTABILIZABLE)
+    except Exception as exc:
+        print(
+            f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr
+        )
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

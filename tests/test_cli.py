@@ -202,6 +202,8 @@ def test_solve_unstabilizable_exit(capsys, fix_e1_path, monkeypatch):
             flows_solved=1,
         )
 
+    # An earlier call builds the parser; the patch must still take effect.
+    assert run(capsys, ["solve", fix_e1_path])[0] == 0
     monkeypatch.setattr(cli, "solve_swm", fake_solve)
     code, _, err = run(capsys, ["solve", fix_e1_path])
     assert code == 4
@@ -386,3 +388,103 @@ def test_solve_and_verify_derive_the_tiers_twice(capsys, fix_e2_path, monkeypatc
     code, _, _ = run(capsys, ["verify", fix_e2_path, data_path("fix_e2.solve.json")])
     assert code == 0
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", data_path("fix_e1.json")],
+        ["oracle", data_path("fix_e1.json")],
+        ["gen", "--buyers", "2", "--vendors", "1", "--items", "1", "--seed", "1"],
+    ],
+    ids=["solve", "oracle", "gen"],
+)
+def test_unwritable_out_exits_2(capsys, tmp_path, argv):
+    out = tmp_path / "missing" / "out.json"
+    code, _, err = run(capsys, argv + ["--out", str(out)])
+    assert code == 2
+    assert f"error: cannot write {out}:" in err
+    assert "Traceback" not in err
+
+
+def test_internal_error_exits_5(capsys, fix_e1_path, monkeypatch):
+    import gbb.cli as cli
+
+    def broken_solve(market, max_partitions=0):
+        raise RuntimeError("assignment flow routed 1 of 2 buyers")
+
+    monkeypatch.setattr(cli, "solve_swm", broken_solve)
+    code, out, err = run(capsys, ["solve", fix_e1_path])
+    assert code == 5
+    assert out == ""
+    assert err == (
+        "error: internal error: RuntimeError: "
+        "assignment flow routed 1 of 2 buyers\n"
+    )
+
+    class Interrupt(BaseException):
+        pass
+
+    def interrupted(market, max_partitions=0):
+        raise Interrupt()
+
+    # BaseExceptions (a timeout's interrupt, KeyboardInterrupt) propagate.
+    monkeypatch.setattr(cli, "solve_swm", interrupted)
+    with pytest.raises(Interrupt):
+        main(["solve", fix_e1_path])
+
+
+def test_parser_is_built_once_per_process(capsys, fix_e1_path, monkeypatch):
+    import argparse
+
+    import gbb.cli as cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    try:
+        assert run(capsys, ["solve", fix_e1_path])[0] == 0
+        once = len(built)
+        assert once > 0
+        assert run(capsys, ["partitions", fix_e1_path])[0] == 0
+        assert run(capsys, ["solve", fix_e1_path, "--no-certify"])[0] == 0
+        assert len(built) == once
+        assert cli.build_parser() is cli.build_parser()
+    finally:
+        cli.build_parser.cache_clear()
+
+
+def test_repeated_calls_in_one_process_keep_golden_bytes(capsys, tmp_path):
+    out = tmp_path / "out.json"
+    for _ in range(2):
+        for fixture in ("fix_e1", "fix_e2", "gen_b4_v2_c2_s7"):
+            instance = data_path(f"{fixture}.json")
+            golden = data_path(f"{fixture}.solve.json")
+            assert main(["solve", instance, "--out", str(out)]) == 0
+            with open(golden, "rb") as fh:
+                assert out.read_bytes() == fh.read()
+            code, _, _ = run(capsys, ["verify", instance, golden])
+            assert code == 0
+            with pytest.raises(SystemExit) as exc:
+                main(["solve", instance, "--no-such-flag"])
+            assert exc.value.code == 2
+            with pytest.raises(SystemExit) as exc:
+                main(["solve", "--help"])
+            assert exc.value.code == 0
+            capsys.readouterr()
+
+
+def test_help_width_is_read_when_help_is_formatted(capsys, monkeypatch):
+    widths = {}
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit):
+            main(["solve", "--help"])
+        widths[columns] = max(map(len, capsys.readouterr().out.splitlines()))
+    assert widths["40"] < widths["200"]

@@ -284,3 +284,47 @@ def test_malformed_networks_rejected():
         net_from_edges(2, 0, 1, [(0, 1, 1, -1)])
     with pytest.raises(ValueError, match="negative cost"):
         net_from_edges(4, 0, 3, [(0, 3, 2, 5), (1, 2, 1, 1), (2, 1, 1, -1)])
+
+
+def test_dijkstra_pops_nondecreasing_distances_within_a_round(monkeypatch):
+    # The potentials keep every reduced cost nonnegative, so within one
+    # round Dijkstra pops its heap in nondecreasing distance.  Without them
+    # a reverse residual edge has a negative reduced cost, a node is pushed
+    # below the last pop, and the search degrades to label correcting.
+    import heapq
+    import types
+
+    import gbb.flow
+    from gbb.generate import generate_instance
+    from gbb.swm import _AssignmentLayout, enumerate_partitions
+
+    pops = []
+
+    def recording_heappop(heap):
+        item = heapq.heappop(heap)
+        pops.append(item)
+        return item
+
+    monkeypatch.setattr(
+        gbb.flow,
+        "heapq",
+        types.SimpleNamespace(heappush=heapq.heappush, heappop=recording_heappop),
+    )
+    networks = 0
+    for seed in range(24):
+        market = generate_instance(
+            buyers=2 + seed % 3, vendors=1 + seed % 2, items=1 + seed // 12, seed=seed
+        )
+        layout = _AssignmentLayout(market)
+        for counts in enumerate_partitions(len(market.buyers), market.cell_count):
+            net = layout.network(counts)
+            pops.clear()
+            min_cost_max_flow(net)
+            # A round starts at the pop of (0, source).
+            last = None
+            for d, u in pops:
+                if (d, u) != (0, net.source):
+                    assert d >= last, (seed, counts, pops)
+                last = d
+            networks += 1
+    assert networks == 1626
