@@ -194,16 +194,16 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     market = _load_valid_instance(args.instance)
     solution = load_solution(args.solution)
+    stored = solution.prices.entries
     buyer_ids = set(market.buyer_ids)
-    if set(solution.allocation.choice) != buyer_ids or set(
-        solution.deltas
-    ) != buyer_ids:
+    if set(solution.allocation.choice) != buyer_ids or set(stored) != buyer_ids:
         raise DocumentError("solution buyer set does not match the instance")
 
     try:
         # Market prices are re-derived from the instance; only the deltas
         # are taken from the document.
-        prices = price_vector(market, solution.allocation, solution.deltas)
+        deltas = {b: entry.delta for b, entry in stored.items()}
+        prices = price_vector(market, solution.allocation, deltas)
         gp = group_partition(market, solution.allocation)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
@@ -214,15 +214,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     for b in market.buyer_ids:
         entry = prices.entries[b]
-        for field, stored, derived in (
-            ("market_price", solution.market_prices[b], entry.market_price),
-            ("final_price", solution.final_prices[b], entry.final),
+        for field, value, derived in (
+            ("market_price", stored[b].market_price, entry.market_price),
+            ("final_price", stored[b].final, entry.final),
             ("utility", solution.utilities[b], derived_utilities[b]),
             ("surplus", solution.surpluses[b], gp.surplus[b]),
         ):
-            if stored != derived:
+            if value != derived:
                 raise DocumentError(
-                    f"buyer {b}: stored {field} {stored} != derived {derived}"
+                    f"buyer {b}: stored {field} {value} != derived {derived}"
                 )
     welfare = sum(derived_utilities.values())
     if solution.social_welfare != welfare:

@@ -26,7 +26,7 @@ from .model import (
     Vendor,
     VendorTuple,
 )
-from .transfers import GroupTransfers, PriceVector, TransferMatrix
+from .transfers import GroupTransfers, PriceEntry, PriceVector, TransferMatrix
 
 INSTANCE_SCHEMA = "gbb-market/1"
 SOLUTION_SCHEMA = "gbb-solution/1"
@@ -66,19 +66,21 @@ def to_canonical_json(data: Any) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _expect_object(data: Any, allowed: set[str], where: str) -> Mapping[str, Any]:
+def _record(data: Any, fields: tuple[str, ...], where: str) -> list:
+    """The values of ``fields``, in order, from an object with exactly
+    those keys; unknown keys are reported before missing ones."""
     if not isinstance(data, dict):
         raise DocumentError(f"{where}: expected an object")
-    unknown = set(data) - allowed
+    if len(data) == len(fields):
+        try:
+            return [data[field] for field in fields]
+        except KeyError:
+            pass
+    unknown = data.keys() - set(fields)
     if unknown:
         raise DocumentError(f"{where}: unknown fields {sorted(unknown)}")
-    return data
-
-
-def _get(data: Mapping[str, Any], key: str, where: str) -> Any:
-    if key not in data:
-        raise DocumentError(f"{where}: missing field {key!r}")
-    return data[key]
+    missing = next(field for field in fields if field not in data)
+    raise DocumentError(f"{where}: missing field {missing!r}")
 
 
 def _as_int(value: Any, where: str, minimum: int | None = None) -> int:
@@ -101,6 +103,25 @@ def _as_list(value: Any, where: str) -> list:
     if not isinstance(value, list):
         raise DocumentError(f"{where}: expected a list")
     return value
+
+
+def _ints(value: Any, where: str) -> tuple[int, ...]:
+    return tuple(
+        _as_int(v, f"{where}[{k}]") for k, v in enumerate(_as_list(value, where))
+    )
+
+
+def _strs(value: Any, where: str) -> tuple[str, ...]:
+    return tuple(
+        _as_str(v, f"{where}[{k}]") for k, v in enumerate(_as_list(value, where))
+    )
+
+
+def _rational(value: Any, where: str) -> Fraction:
+    try:
+        return rational_from_str(value)
+    except DocumentError as exc:
+        raise DocumentError(f"{where}: {exc}") from None
 
 
 def instance_to_dict(market: Market) -> dict:
@@ -140,63 +161,50 @@ def instance_to_dict(market: Market) -> dict:
 
 
 def instance_from_dict(data: Any) -> Market:
-    doc = _expect_object(
-        data, {"schema", "item_types", "vendors", "buyers"}, "instance"
+    schema, c, vendor_list, buyer_list = _record(
+        data, ("schema", "item_types", "vendors", "buyers"), "instance"
     )
-    if _get(doc, "schema", "instance") != INSTANCE_SCHEMA:
-        raise DocumentError(
-            f"instance: schema {doc.get('schema')!r} is not {INSTANCE_SCHEMA!r}"
-        )
-    c = _as_int(_get(doc, "item_types", "instance"), "item_types", minimum=1)
+    if schema != INSTANCE_SCHEMA:
+        raise DocumentError(f"instance: schema {schema!r} is not {INSTANCE_SCHEMA!r}")
+    c = _as_int(c, "item_types", minimum=1)
 
     vendors: list[Vendor] = []
-    for i, entry in enumerate(_as_list(_get(doc, "vendors", "instance"), "vendors")):
+    for i, entry in enumerate(_as_list(vendor_list, "vendors")):
         where = f"vendors[{i}]"
-        obj = _expect_object(entry, {"id", "base_prices", "discounts"}, where)
-        vid = _as_str(_get(obj, "id", where), f"{where}.id")
+        vid, base_prices, tier_list = _record(
+            entry, ("id", "base_prices", "discounts"), where
+        )
+        vid = _as_str(vid, f"{where}.id")
         if vid == NULL_VENDOR:
             raise DocumentError(f"{where}: vendor id {NULL_VENDOR!r} is reserved")
-        base_prices = tuple(
-            _as_int(p, f"{where}.base_prices[{k}]")
-            for k, p in enumerate(_as_list(_get(obj, "base_prices", where), where))
-        )
+        base_prices = _ints(base_prices, f"{where}.base_prices")
         tiers = []
-        for j, tier in enumerate(_as_list(_get(obj, "discounts", where), where)):
+        for j, tier in enumerate(_as_list(tier_list, f"{where}.discounts")):
             twhere = f"{where}.discounts[{j}]"
-            tobj = _expect_object(tier, {"thresholds", "bundle_price"}, twhere)
+            thresholds, bundle_price = _record(
+                tier, ("thresholds", "bundle_price"), twhere
+            )
             tiers.append(
                 DiscountTier(
-                    thresholds=tuple(
-                        _as_int(t, f"{twhere}.thresholds[{k}]")
-                        for k, t in enumerate(
-                            _as_list(_get(tobj, "thresholds", twhere), twhere)
-                        )
-                    ),
-                    bundle_price=_as_int(
-                        _get(tobj, "bundle_price", twhere), f"{twhere}.bundle_price"
-                    ),
+                    thresholds=_ints(thresholds, f"{twhere}.thresholds"),
+                    bundle_price=_as_int(bundle_price, f"{twhere}.bundle_price"),
                 )
             )
         vendors.append(Vendor(id=vid, base_prices=base_prices, tiers=tuple(tiers)))
 
     buyers: list[Buyer] = []
-    for i, entry in enumerate(_as_list(_get(doc, "buyers", "instance"), "buyers")):
+    for i, entry in enumerate(_as_list(buyer_list, "buyers")):
         where = f"buyers[{i}]"
-        obj = _expect_object(entry, {"id", "valuations"}, where)
-        bid = _as_str(_get(obj, "id", where), f"{where}.id")
+        bid, valuation_list = _record(entry, ("id", "valuations"), where)
+        bid = _as_str(bid, f"{where}.id")
         valuations: dict[VendorTuple, Money] = {}
-        for j, val in enumerate(_as_list(_get(obj, "valuations", where), where)):
+        for j, val in enumerate(_as_list(valuation_list, f"{where}.valuations")):
             vwhere = f"{where}.valuations[{j}]"
-            vobj = _expect_object(val, {"choice", "value"}, vwhere)
-            choice = tuple(
-                _as_str(s, f"{vwhere}.choice[{k}]")
-                for k, s in enumerate(_as_list(_get(vobj, "choice", vwhere), vwhere))
-            )
+            choice, value = _record(val, ("choice", "value"), vwhere)
+            choice = _strs(choice, f"{vwhere}.choice")
             if choice in valuations:
                 raise DocumentError(f"{vwhere}: duplicate choice {choice!r}")
-            valuations[choice] = _as_int(
-                _get(vobj, "value", vwhere), f"{vwhere}.value"
-            )
+            valuations[choice] = _as_int(value, f"{vwhere}.value")
         buyers.append(Buyer(id=bid, valuations=valuations))
 
     vendors.sort(key=lambda v: v.id)
@@ -267,25 +275,21 @@ def solution_to_dict(bundle: SolutionBundle) -> dict:
     }
 
 
-@dataclass(frozen=True, eq=False)
-class ParsedSolution:
-    """Solution fields needed to re-run checks against an instance."""
-
-    social_welfare: Money
-    allocation: Allocation
-    market_prices: Mapping[BuyerId, Money]
-    deltas: Mapping[BuyerId, Fraction]
-    final_prices: Mapping[BuyerId, Fraction]
-    utilities: Mapping[BuyerId, Money]
-    surpluses: Mapping[BuyerId, Money]
-    group_transfers: GroupTransfers
-    matrix: TransferMatrix
-
-
-def solution_from_dict(data: Any) -> ParsedSolution:
-    doc = _expect_object(
+def solution_from_dict(data: Any) -> SolutionBundle:
+    """The bundle ``solution_to_dict`` writes; ``certificate`` and
+    ``metadata`` are kept as read."""
+    (
+        schema,
+        welfare,
+        alloc_obj,
+        buyers_obj,
+        gt_list,
+        transfer_list,
+        certificate,
+        metadata,
+    ) = _record(
         data,
-        {
+        (
             "schema",
             "social_welfare",
             "allocation",
@@ -294,95 +298,77 @@ def solution_from_dict(data: Any) -> ParsedSolution:
             "transfers",
             "certificate",
             "metadata",
-        },
+        ),
         "solution",
     )
-    if _get(doc, "schema", "solution") != SOLUTION_SCHEMA:
-        raise DocumentError(
-            f"solution: schema {doc.get('schema')!r} is not {SOLUTION_SCHEMA!r}"
-        )
-    welfare = _as_int(_get(doc, "social_welfare", "solution"), "social_welfare")
+    if schema != SOLUTION_SCHEMA:
+        raise DocumentError(f"solution: schema {schema!r} is not {SOLUTION_SCHEMA!r}")
+    welfare = _as_int(welfare, "social_welfare")
 
-    alloc_obj = _get(doc, "allocation", "solution")
     if not isinstance(alloc_obj, dict):
         raise DocumentError("allocation: expected an object")
-    choice = {}
-    for bid, tup in alloc_obj.items():
-        choice[bid] = tuple(
-            _as_str(s, f"allocation[{bid!r}][{k}]")
-            for k, s in enumerate(_as_list(tup, f"allocation[{bid!r}]"))
-        )
+    choice = {bid: _strs(tup, f"allocation[{bid!r}]") for bid, tup in alloc_obj.items()}
 
-    buyers_obj = _get(doc, "buyers", "solution")
     if not isinstance(buyers_obj, dict):
         raise DocumentError("buyers: expected an object")
-    market_prices: dict[BuyerId, Money] = {}
-    deltas: dict[BuyerId, Fraction] = {}
-    final_prices: dict[BuyerId, Fraction] = {}
+    prices: dict[BuyerId, PriceEntry] = {}
     utilities: dict[BuyerId, Money] = {}
     surpluses: dict[BuyerId, Money] = {}
     for bid, entry in buyers_obj.items():
         where = f"buyers[{bid!r}]"
-        obj = _expect_object(
-            entry,
-            {"market_price", "delta", "final_price", "utility", "surplus"},
-            where,
+        market_price, delta, final, utility, surplus = _record(
+            entry, ("market_price", "delta", "final_price", "utility", "surplus"), where
         )
-        market_prices[bid] = _as_int(
-            _get(obj, "market_price", where), f"{where}.market_price"
+        prices[bid] = PriceEntry(
+            market_price=_as_int(market_price, f"{where}.market_price"),
+            delta=_rational(delta, f"{where}.delta"),
+            final=_rational(final, f"{where}.final_price"),
         )
-        deltas[bid] = rational_from_str(_get(obj, "delta", where))
-        utilities[bid] = _as_int(_get(obj, "utility", where), f"{where}.utility")
-        surpluses[bid] = _as_int(_get(obj, "surplus", where), f"{where}.surplus")
-        final_prices[bid] = rational_from_str(_get(obj, "final_price", where))
+        utilities[bid] = _as_int(utility, f"{where}.utility")
+        surpluses[bid] = _as_int(surplus, f"{where}.surplus")
 
     gt_entries = {}
-    for i, entry in enumerate(
-        _as_list(_get(doc, "group_transfers", "solution"), "group_transfers")
-    ):
+    for i, entry in enumerate(_as_list(gt_list, "group_transfers")):
         where = f"group_transfers[{i}]"
-        obj = _expect_object(entry, {"vendor", "group", "amount"}, where)
-        s = _as_str(_get(obj, "vendor", where), f"{where}.vendor")
-        x = tuple(
-            _as_str(v, f"{where}.group[{k}]")
-            for k, v in enumerate(_as_list(_get(obj, "group", where), where))
-        )
+        s, x, amount = _record(entry, ("vendor", "group", "amount"), where)
+        s = _as_str(s, f"{where}.vendor")
+        x = _strs(x, f"{where}.group")
         if (s, x) in gt_entries:
             raise DocumentError(f"{where}: duplicate group transfer {s!r} -> {x!r}")
-        amount = _as_int(_get(obj, "amount", where), f"{where}.amount")
+        amount = _as_int(amount, f"{where}.amount")
         if amount <= 0:
             raise DocumentError(f"{where}: amount {amount} must be positive")
         gt_entries[(s, x)] = amount
 
     matrix_entries = {}
-    for i, entry in enumerate(
-        _as_list(_get(doc, "transfers", "solution"), "transfers")
-    ):
+    for i, entry in enumerate(_as_list(transfer_list, "transfers")):
         where = f"transfers[{i}]"
-        obj = _expect_object(entry, {"payer", "payee", "amount"}, where)
-        payer = _as_str(_get(obj, "payer", where), f"{where}.payer")
-        payee = _as_str(_get(obj, "payee", where), f"{where}.payee")
+        payer, payee, amount = _record(entry, ("payer", "payee", "amount"), where)
+        payer = _as_str(payer, f"{where}.payer")
+        payee = _as_str(payee, f"{where}.payee")
         if (payer, payee) in matrix_entries:
             raise DocumentError(f"{where}: duplicate transfer {payer!r} -> {payee!r}")
-        amount = rational_from_str(_get(obj, "amount", where))
+        amount = _rational(amount, f"{where}.amount")
         if amount.numerator <= 0:
             raise DocumentError(f"{where}: amount {amount} must be positive")
         matrix_entries[(payer, payee)] = amount
 
-    _get(doc, "certificate", "solution")
-    _get(doc, "metadata", "solution")
-    return ParsedSolution(
+    if certificate is not None and not isinstance(certificate, dict):
+        raise DocumentError("certificate: expected an object or null")
+    if not isinstance(metadata, dict):
+        raise DocumentError("metadata: expected an object")
+    return SolutionBundle(
         social_welfare=welfare,
         allocation=Allocation(choice=choice),
-        market_prices=market_prices,
-        deltas=deltas,
-        final_prices=final_prices,
+        prices=PriceVector(entries=prices),
         utilities=utilities,
         surpluses=surpluses,
         group_transfers=GroupTransfers(entries=gt_entries),
         matrix=TransferMatrix(entries=matrix_entries),
+        certificate=certificate,
+        metadata=metadata,
     )
 
 
-def load_solution(path: str) -> ParsedSolution:
+def load_solution(path: str) -> SolutionBundle:
     return solution_from_dict(_read_json(path))

@@ -11,14 +11,19 @@ from gbb.documents import (
     instance_from_dict,
     instance_to_dict,
     load_instance,
+    load_solution,
     rational_from_str,
     rational_to_str,
     solution_from_dict,
+    solution_to_dict,
     to_canonical_json,
 )
 from gbb.model import NULL_VENDOR, validate_market
+from gbb.transfers import PriceEntry
 
 from tests.conftest import data_path
+
+GOLDEN_NAMES = ("fix_e1", "fix_e2", "gen_b4_v2_c2_s7")
 
 
 def test_rational_strings():
@@ -133,7 +138,10 @@ def test_solution_round_trip(fix_e1, fix_e1_path, tmp_path):
         "b1": ("s1", "s1"),
         "b2": ("s1", "s1"),
     }
-    assert parsed.deltas == {"b1": Fraction(1), "b2": Fraction(-1)}
+    assert parsed.prices.entries == {
+        "b1": PriceEntry(market_price=5, delta=Fraction(1), final=Fraction(6)),
+        "b2": PriceEntry(market_price=5, delta=Fraction(-1), final=Fraction(4)),
+    }
     assert dict(parsed.group_transfers.entries) == {("s1", ("s1",)): 1}
     assert parsed.matrix.entries == {("b1", "b2"): Fraction(1)}
 
@@ -209,3 +217,190 @@ def test_solution_rejects_non_positive_transfer_amount(tmp_path, capsys):
         path.write_text(json.dumps(tampered))
         assert main(["verify", data_path("fix_e2.json"), str(path)]) == 2
         assert "must be positive" in capsys.readouterr().err
+
+
+def _golden(name):
+    with open(data_path(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+# The golden document each reader's cases are cut from.
+_READERS = {
+    "instance": ("fix_e1.json", instance_from_dict),
+    "solution": ("fix_e2.solve.json", solution_from_dict),
+}
+
+
+# Each record a reader validates: the reader, the keys leading to it in
+# that reader's golden document, its name in messages and its fields.
+_RECORDS = (
+    ("instance", (), "instance", ("schema", "item_types", "vendors", "buyers")),
+    ("instance", ("vendors", 0), "vendors[0]", ("id", "base_prices", "discounts")),
+    (
+        "instance",
+        ("vendors", 0, "discounts", 0),
+        "vendors[0].discounts[0]",
+        ("thresholds", "bundle_price"),
+    ),
+    ("instance", ("buyers", 0), "buyers[0]", ("id", "valuations")),
+    (
+        "instance",
+        ("buyers", 0, "valuations", 0),
+        "buyers[0].valuations[0]",
+        ("choice", "value"),
+    ),
+    (
+        "solution",
+        (),
+        "solution",
+        (
+            "schema",
+            "social_welfare",
+            "allocation",
+            "buyers",
+            "group_transfers",
+            "transfers",
+            "certificate",
+            "metadata",
+        ),
+    ),
+    (
+        "solution",
+        ("buyers", "b1"),
+        "buyers['b1']",
+        ("market_price", "delta", "final_price", "utility", "surplus"),
+    ),
+    (
+        "solution",
+        ("group_transfers", 0),
+        "group_transfers[0]",
+        ("vendor", "group", "amount"),
+    ),
+    ("solution", ("transfers", 0), "transfers[0]", ("payer", "payee", "amount")),
+)
+
+
+def _record_faults():
+    for kind, path, where, fields in _RECORDS:
+        yield pytest.param(
+            kind, path, "replace", None, f"{where}: expected an object",
+            id=f"{where}-not-object",
+        )
+        yield pytest.param(
+            kind, path, "add", "zz", f"{where}: unknown fields ['zz']",
+            id=f"{where}-unknown",
+        )
+        for field in fields:
+            yield pytest.param(
+                kind, path, "delete", field, f"{where}: missing field {field!r}",
+                id=f"{where}-missing-{field}",
+            )
+
+
+@pytest.mark.parametrize("kind, path, fault, field, message", _record_faults())
+def test_every_record_rejection_names_its_record(kind, path, fault, field, message):
+    name, reader = _READERS[kind]
+    doc = _golden(name)
+    holder, record = None, doc
+    for key in path:
+        holder, record = record, record[key]
+    if fault == "replace":
+        if holder is None:
+            doc = 5
+        else:
+            holder[path[-1]] = 5
+    elif fault == "add":
+        record[field] = 1
+    else:
+        del record[field]
+    with pytest.raises(DocumentError) as err:
+        reader(doc)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "name", [f"{n}.{kind}.json" for n in GOLDEN_NAMES for kind in ("solve", "oracle")]
+)
+def test_golden_solutions_round_trip_byte_for_byte(name):
+    path = data_path(name)
+    with open(path, encoding="utf-8") as fh:
+        assert to_canonical_json(solution_to_dict(load_solution(path))) == fh.read()
+
+
+@pytest.mark.parametrize(
+    "kind, path, message",
+    [
+        ("instance", ("vendors", 0, "base_prices"), "vendors[0].base_prices"),
+        ("instance", ("vendors", 0, "discounts"), "vendors[0].discounts"),
+        (
+            "instance",
+            ("vendors", 0, "discounts", 0, "thresholds"),
+            "vendors[0].discounts[0].thresholds",
+        ),
+        ("instance", ("buyers", 1, "valuations"), "buyers[1].valuations"),
+        (
+            "instance",
+            ("buyers", 1, "valuations", 0, "choice"),
+            "buyers[1].valuations[0].choice",
+        ),
+        ("solution", ("group_transfers", 0, "group"), "group_transfers[0].group"),
+    ],
+)
+def test_non_list_rejection_names_the_field(kind, path, message):
+    name, reader = _READERS[kind]
+    doc = _golden(name)
+    record = doc
+    for key in path[:-1]:
+        record = record[key]
+    record[path[-1]] = 7
+    with pytest.raises(DocumentError) as err:
+        reader(doc)
+    assert str(err.value) == f"{message}: expected a list"
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        (("buyers", "b1", "delta"), "buyers['b1'].delta"),
+        (("buyers", "b3", "final_price"), "buyers['b3'].final_price"),
+        (("transfers", 1, "amount"), "transfers[1].amount"),
+    ],
+)
+def test_bad_rational_names_the_field(path, message):
+    doc = _golden("fix_e2.solve.json")
+    doc[path[0]][path[1]][path[2]] = "x"
+    with pytest.raises(DocumentError, match="rational") as err:
+        solution_from_dict(doc)
+    assert str(err.value) == f"{message}: not a rational literal: 'x'"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("metadata", 5, "metadata: expected an object"),
+        ("certificate", "yes", "certificate: expected an object or null"),
+        ("certificate", [1], "certificate: expected an object or null"),
+    ],
+)
+def test_verify_rejects_mistyped_certificate_and_metadata(
+    field, value, message, tmp_path, capsys
+):
+    from gbb.cli import main
+
+    doc = _golden("fix_e1.solve.json")
+    doc[field] = value
+    path = tmp_path / "mistyped.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", data_path("fix_e1.json"), str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_verify_accepts_a_null_certificate(tmp_path, capsys):
+    from gbb.cli import main
+
+    doc = _golden("fix_e1.solve.json")
+    doc["certificate"] = None
+    path = tmp_path / "uncertified.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", data_path("fix_e1.json"), str(path)]) == 0
+    assert solution_from_dict(doc).certificate is None

@@ -1,15 +1,22 @@
 """Property tests drawn by Hypothesis; skipped when it is not installed."""
 
+import contextlib
+import io
+import json
+
 import pytest
 
 pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from gbb.cli import main  # noqa: E402
 from gbb.flow import Edge, FlowNetwork, max_flow, min_cost_max_flow  # noqa: E402
 from gbb.generate import generate_instance  # noqa: E402
 from gbb.model import Buyer, Market, NULL_VENDOR  # noqa: E402
 from gbb.swm import brute_force_swm, solve_swm  # noqa: E402
+
+from tests.conftest import data_path  # noqa: E402
 
 
 @st.composite
@@ -77,3 +84,85 @@ def test_flows_match_networkx():
         assert max_flow(net).value == value
 
     check()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def _slots(doc, holder=None, key=None):
+    """(holder, key, value) for ``doc`` (held by ``None``) and for every
+    value nested in it."""
+    yield holder, key, doc
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _slots(v, doc, k)
+    elif isinstance(doc, list):
+        for k, v in enumerate(doc):
+            yield from _slots(v, doc, k)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A golden instance or solution document with one mutation: a key
+    deleted, an unknown key added, a value replaced or a list entry
+    repeated.  Returns the golden name, its kind and the document."""
+    name = draw(st.sampled_from(("fix_e1", "fix_e2", "gen_b4_v2_c2_s7")))
+    kind = draw(st.sampled_from(("instance", "solve", "oracle")))
+    suffix = "" if kind == "instance" else f".{kind}"
+    with open(data_path(f"{name}{suffix}.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    slots = list(_slots(doc))
+    objects = [v for _, _, v in slots if isinstance(v, dict) and v]
+    lists = [v for _, _, v in slots if isinstance(v, list) and v]
+    mutation = draw(st.sampled_from(("delete", "add", "replace", "repeat")))
+    if mutation == "delete":
+        obj = draw(st.sampled_from(objects))
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    elif mutation == "add":
+        obj = draw(st.sampled_from(objects))
+        obj[draw(st.text(max_size=4).filter(lambda k: k not in obj))] = draw(
+            json_values
+        )
+    elif mutation == "replace":
+        holder, key, _ = draw(st.sampled_from(slots))
+        if holder is None:
+            doc = draw(json_values)
+        else:
+            holder[key] = draw(json_values)
+    else:
+        entries = draw(st.sampled_from(lists))
+        k = draw(st.integers(0, len(entries) - 1))
+        entries.insert(k, json.loads(json.dumps(entries[k])))
+    return name, kind, doc
+
+
+def _run(argv):
+    """``gbb`` in process: the exit code and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_documents())
+def test_mutated_documents_end_in_a_documented_exit(tmp_path_factory, mutated):
+    name, kind, doc = mutated
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    if kind == "instance":
+        runs = [
+            (["verify", str(path), data_path(f"{name}.solve.json")], {0, 1, 2}),
+            (["solve", str(path)], {0, 1, 2, 3, 4}),
+        ]
+    else:
+        runs = [(["verify", data_path(f"{name}.json"), str(path)], {0, 1, 2})]
+    for argv, allowed in runs:
+        code, err = _run(argv)
+        assert code in allowed, (argv[0], code, err)
+        assert "Traceback" not in err
