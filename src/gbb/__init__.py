@@ -22,7 +22,6 @@ from .model import (
     demand_vectors,
     group_partition,
     market_prices,
-    social_welfare,
     triggered,
     utilities,
     validate_market,
@@ -30,10 +29,8 @@ from .model import (
 from .flow import Flow, FlowNetwork, NetworkBuilder, max_flow, min_cost_max_flow
 from .swm import (
     BudgetExceeded,
-    Partition,
     SwmResult,
     brute_force_swm,
-    enumerate_partitions,
     partition_count,
     solve_swm,
 )

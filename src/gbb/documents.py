@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Mapping, NoReturn
 
 from .model import (
     Allocation,
@@ -212,13 +212,17 @@ def instance_from_dict(data: Any) -> Market:
     return Market.build(c=c, vendors=vendors, buyers=buyers)
 
 
+def _reject_constant(name: str) -> NoReturn:
+    raise ValueError(f"{name} is not a JSON value")
+
+
 def _read_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, bad UTF-8, or an int too long to parse
+    except ValueError as exc:  # bad JSON or UTF-8, NaN, or an int too long
         raise DocumentError(f"{path}: invalid JSON ({exc})") from exc
     except RecursionError as exc:  # arrays or objects nested too deeply
         raise DocumentError(f"{path}: JSON nested too deeply ({exc})") from exc

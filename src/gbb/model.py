@@ -362,10 +362,6 @@ def utilities(
     }
 
 
-def social_welfare(market: Market, alloc: Allocation) -> Money:
-    return sum(utilities(market, alloc).values())
-
-
 def best_alternative(market: Market, buyer_id: BuyerId) -> tuple[VendorTuple, Money]:
     """Best utility achievable at base prices over every vendor tuple.
 

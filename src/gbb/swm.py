@@ -1,25 +1,25 @@
 """Social-welfare-maximizing allocations.
 
-The solver conditions on a *partition*: the number of buyers assigned to
-each vendor tuple (cell).  For a fixed partition the welfare-maximal
-assignment is a min-cost max-flow on a small bipartite network.
+The solver conditions on a *partition*: per-cell buyer counts, a tuple
+aligned with ``market.vendor_tuples`` (the cells).  For fixed counts the
+best assignment is a min-cost max-flow on a small bipartite network.
 
-A depth-first search covers every partition in ``enumerate_partitions``
-order: the first cell's count runs down from N, then the search recurses
-on the remaining cells.  The path carries the base-price sum and each
-tiered vendor's per-item demand, so a leaf's price is that sum less, per
-vendor, its full-bundle count times the discount of the highest tier the
-demand meets; ``total_price`` stays as the reference.  A leaf gets its
-flow only when ``_AssignmentLayout.upper_bound`` minus its price reaches
-the incumbent.  An interior node with cells ``< k`` fixed and ``r`` buyers
-left is skipped with its whole subtree when the fixed cells' best values
-net of their lowest possible prices, plus the ``r`` best such values over
-the open cells, fall strictly below the incumbent.  That bound is at least
-every leaf bound below it, so a skipped subtree holds only leaves whose
-flow would be skipped anyway: the flows solved, the welfare and the
-chosen partition are those of pricing every leaf.  The search runs in one
-process, so every bound compares against the best leaf of the whole order
-found so far.
+A depth-first search covers every partition: the first cell's count runs
+down from N, then the search recurses on the remaining cells, so leaves
+come in reverse lexicographic order.  The path carries the base-price sum
+and each tiered vendor's per-item demand, so a leaf's price is that sum
+less, per vendor, its full-bundle count times the discount of the highest
+tier the demand meets; ``total_price`` stays as the reference.  A leaf gets
+its flow only when ``_AssignmentLayout.upper_bound`` minus its price
+reaches the incumbent.  An interior node with cells ``< k`` fixed and ``r``
+buyers left is skipped with its whole subtree when the fixed cells' best
+values net of their lowest possible prices, plus the ``r`` best such
+values over the open cells, fall strictly below the incumbent.  That bound
+is at least every leaf bound below it, so a skipped subtree holds only
+leaves whose flow would be skipped anyway: the flows solved, the welfare
+and the chosen partition are those of pricing every leaf.  The search runs
+in one process, so every bound compares against the best leaf of the whole
+order found so far.
 
 ``SwmResult.partitions_evaluated`` counts partitions covered, priced or
 ruled out with their subtree, and always equals ``partitions_total``;
@@ -34,14 +34,13 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable
 
 from .flow import Edge, FlowNetwork, NetworkBuilder, min_cost_max_flow
 from .model import (
     Allocation,
     Market,
     Money,
-    VendorTuple,
     cell_demand,
     market_price_of_choice,
     triggered_tiers,
@@ -60,49 +59,9 @@ class BudgetExceeded(Exception):
         self.cap = cap
 
 
-@dataclass(frozen=True, eq=False)
-class Partition:
-    """Buyer counts per vendor tuple; counts sum to the number of buyers."""
-
-    counts: Mapping[VendorTuple, int]
-
-    def count(self, choice: VendorTuple) -> int:
-        return self.counts.get(choice, 0)
-
-
 def partition_count(n_buyers: int, cells: int) -> int:
     """Number of ways to split ``n_buyers`` into ``cells`` ordered counts."""
     return math.comb(n_buyers + cells - 1, cells - 1)
-
-
-def enumerate_partitions(n_buyers: int, cells: int) -> Iterator[tuple[int, ...]]:
-    """All compositions of ``n_buyers`` into ``cells`` nonnegative parts.
-
-    Yields each composition exactly once, first cell counting down from
-    ``n_buyers`` (so ``(2, 0)`` precedes ``(1, 1)`` precedes ``(0, 2)``).
-    """
-    if n_buyers < 0 or cells < 1:
-        raise ValueError("need n_buyers >= 0 and cells >= 1")
-    counts = [n_buyers] + [0] * (cells - 1)
-    while True:
-        yield tuple(counts)
-        # Move one unit from the rightmost nonempty non-final cell into the
-        # cell after it, sweeping everything further right back onto it.
-        j = -1
-        for k in range(cells - 2, -1, -1):
-            if counts[k] > 0:
-                j = k
-                break
-        if j < 0:
-            return
-        carried = counts[cells - 1] + 1
-        counts[j] -= 1
-        counts[cells - 1] = 0
-        counts[j + 1] = carried
-
-
-def _partition_of(market: Market, counts: tuple[int, ...]) -> Partition:
-    return Partition(counts=dict(zip(market.vendor_tuples, counts)))
 
 
 class _AssignmentLayout:
@@ -194,42 +153,22 @@ class _AssignmentLayout:
         return choice, n_buyers * self.ceiling - flow.cost
 
 
-def _counts_of(market: Market, partition: Partition) -> tuple[int, ...]:
-    return tuple(partition.count(choice) for choice in market.vendor_tuples)
+def total_price(market: Market, counts: tuple[int, ...]) -> Money:
+    """Total buyer payments implied by per-cell counts alone.
 
-
-def assignment_network(market: Market, partition: Partition) -> FlowNetwork:
-    """The assignment network of ``partition``; see ``_AssignmentLayout``."""
-    return _AssignmentLayout(market).network(_counts_of(market, partition))
-
-
-def total_price(market: Market, partition: Partition) -> Money:
-    """Total buyer payments implied by the partition alone.
-
-    Every assignment matching the counts produces the same demand vectors,
-    hence the same triggered discounts and the same per-cell prices.
+    ``counts`` is aligned with ``market.vendor_tuples``.  Every assignment
+    matching the counts produces the same demand vectors, hence the same
+    triggered discounts and the same per-cell prices.
     """
-    cells = [(choice, n) for choice, n in partition.counts.items() if n]
+    cells = [(choice, n) for choice, n in zip(market.vendor_tuples, counts) if n]
     trig = triggered_tiers(market, cell_demand(market, cells))
-    total = 0
-    for choice, n in cells:
-        total += n * market_price_of_choice(market, choice, trig)
-    return total
-
-
-def best_allocation_for_partition(
-    market: Market, partition: Partition
-) -> tuple[Allocation, Money]:
-    """Welfare-maximal allocation among those matching the partition."""
-    choice, value = _AssignmentLayout(market).solve(_counts_of(market, partition))
-    return Allocation(choice=choice), value - total_price(market, partition)
+    return sum(n * market_price_of_choice(market, choice, trig) for choice, n in cells)
 
 
 @dataclass(frozen=True, eq=False)
 class SwmResult:
     allocation: Allocation
     social_welfare: Money
-    partition: Partition
     partitions_total: int
     partitions_evaluated: int
     partitions_priced: int
@@ -244,14 +183,14 @@ def solve_swm(
 ) -> SwmResult:
     """Exact welfare maximization over every feasible partition.
 
-    A depth-first search covers the partitions in enumeration order, prices
-    each leaf it reaches from the demand carried down its path and skips
-    every subtree whose welfare bound is below the incumbent; only leaves
-    whose own bound reaches the incumbent get a min-cost flow.  Equal-welfare
-    ties resolve to the lexicographically smallest partition; the
-    per-partition assignment is deterministic, so results are reproducible
-    run to run.  ``progress(covered, total)`` fires once per 1 000
-    partitions covered.
+    A depth-first search covers the count tuples in reverse lexicographic
+    order, prices each leaf it reaches from the demand carried down its
+    path and skips every subtree whose welfare bound is below the
+    incumbent; only leaves whose own bound reaches the incumbent get a
+    min-cost flow.  Equal-welfare ties resolve to the lexicographically
+    smallest counts tuple, which the allocation determines; the assignment
+    is deterministic, so results are reproducible run to run.
+    ``progress(covered, total)`` fires once per 1 000 partitions covered.
 
     The search runs in one process.  Raises BudgetExceeded, before any
     vendor tuple is built, when the partition count or the cell count
@@ -278,11 +217,10 @@ def solve_swm(
 
     search = _PartitionSearch(market)
     search.run(progress)
-    welfare, counts, choice = search.best
+    welfare, choice = search.best
     return SwmResult(
         allocation=Allocation(choice=choice),
         social_welfare=welfare,
-        partition=_partition_of(market, counts),
         partitions_total=total,
         partitions_evaluated=total,
         partitions_priced=search.priced,
@@ -437,7 +375,7 @@ class _PartitionSearch:
             # replacing the incumbent on equal welfare leaves the
             # lexicographically smallest partition as the winner.
             if best is None or welfare >= best[0]:
-                self.best = (welfare, key, choice)
+                self.best = (welfare, choice)
 
 
 def brute_force_swm(
@@ -469,7 +407,7 @@ def brute_force_swm(
         key = tuple(counts)
         cached = price_cache.get(key)
         if cached is None:
-            cached = total_price(market, _partition_of(market, key))
+            cached = total_price(market, key)
             price_cache[key] = cached
         return cached
 

@@ -29,7 +29,7 @@ from gbb.model import (
     Vendor,
     group_partition,
 )
-from gbb.swm import brute_force_swm, enumerate_partitions, partition_count, solve_swm
+from gbb.swm import brute_force_swm, partition_count, solve_swm
 from gbb.transfers import (
     fair_buyer_transfers,
     group_transfer_network,
@@ -43,6 +43,7 @@ from tests.test_flow import (
     random_dag_network,
     random_integral_max_flow,
 )
+from tests.test_swm import _RecordingSearch
 
 
 def report(criterion: int, text: str) -> None:
@@ -186,15 +187,30 @@ def test_c5_fairness_identity(corpus):
 
 
 def test_c8_partition_count_identity():
+    # (real vendors, item types): 1, 1, 2, 4, 3, 9 and 8 cells.
+    shapes = [(m, c) for m in range(3) for c in (1, 2)] + [(1, 3)]
+    cell_counts = set()
     checked = 0
     for n in range(0, 7):
-        for cells in range(1, 10):
-            produced = list(enumerate_partitions(n, cells))
-            assert len(produced) == len(set(produced))
-            assert len(produced) == math.comb(n + cells - 1, cells - 1)
-            assert partition_count(n, cells) == len(produced)
+        for m, c in shapes:
+            market = Market.build(
+                c=c,
+                vendors=[Vendor(f"s{j}", (1,) * c) for j in range(1, m + 1)],
+                buyers=[Buyer(f"b{i}", {}) for i in range(n)],
+            )
+            cells = market.cell_count
+            cell_counts.add(cells)
+            # No incumbent is ever set, so the search reaches every leaf.
+            search = _RecordingSearch(market)
+            search.run()
+            leaves = [counts for counts, _ in search.leaves]
+            assert len(leaves) == len(set(leaves))
+            assert all(sum(counts) == n for counts in leaves)
+            assert len(leaves) == partition_count(n, cells)
+            assert partition_count(n, cells) == math.comb(n + cells - 1, cells - 1)
             checked += 1
-    report(8, f"iterator count equals binomial on {checked} (N, cells) pairs")
+    assert cell_counts == {1, 2, 3, 4, 8, 9}
+    report(8, f"search leaf count equals binomial on {checked} (N, market) pairs")
 
 
 # --- criterion 9: flow engine vs brute force --------------------------------

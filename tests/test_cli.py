@@ -188,14 +188,13 @@ def test_verify_does_not_build_the_cells(capsys, tmp_path, monkeypatch):
 def test_solve_unstabilizable_exit(capsys, fix_e1_path, monkeypatch):
     import gbb.cli as cli
     from gbb.model import Allocation
-    from gbb.swm import SwmResult, Partition
+    from gbb.swm import SwmResult
 
     def fake_solve(market, max_partitions=0):
         alloc = Allocation({"b1": ("s2", "s2"), "b2": ("s1", "s1")})
         return SwmResult(
             allocation=alloc,
             social_welfare=0,
-            partition=Partition({}),
             partitions_total=1,
             partitions_evaluated=1,
             partitions_priced=1,

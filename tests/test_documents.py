@@ -404,3 +404,33 @@ def test_verify_accepts_a_null_certificate(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["verify", data_path("fix_e1.json"), str(path)]) == 0
     assert solution_from_dict(doc).certificate is None
+
+
+@pytest.mark.parametrize(
+    "name, path, constant",
+    [
+        ("fix_e1.solve.json", ("metadata", "x"), float("nan")),
+        ("fix_e1.solve.json", ("certificate", "all_passed"), float("inf")),
+        ("fix_e1.json", ("buyers", 0, "valuations", 0, "value"), float("-inf")),
+    ],
+)
+def test_verify_rejects_non_finite_json_constants(
+    name, path, constant, tmp_path, capsys
+):
+    # Python's json reads NaN, Infinity and -Infinity, which JSON forbids;
+    # a document carrying one must exit 2, not be re-emitted as is.
+    from gbb.cli import main
+
+    doc = _golden(name)
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = constant
+    mutated = tmp_path / name
+    mutated.write_text(json.dumps(doc, allow_nan=True))
+    names = ["fix_e1.json", "fix_e1.solve.json"]
+    args = [data_path(n) for n in names]
+    args[names.index(name)] = str(mutated)
+    assert main(["verify", *args]) == 2
+    word = json.dumps(constant, allow_nan=True)
+    assert f"invalid JSON ({word} is not a JSON value)" in capsys.readouterr().err

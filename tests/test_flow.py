@@ -208,17 +208,19 @@ def test_min_cost_prefers_cheaper_parallel_edge():
 
 
 def test_min_cost_on_fixture_assignment_networks(fix_e1, fix_e2):
-    from gbb.swm import Partition, assignment_network
+    from gbb.swm import _AssignmentLayout
+
+    from tests.test_swm import counts_of
 
     # Each cost is the market's largest valuation (10, then 9) less the
     # buyer's, so the assignments worth 16 and 24 cost 2 * 10 - 16 and
     # 3 * 9 - 24.
-    net1 = assignment_network(fix_e1, Partition({("s1", "s1"): 2}))
+    net1 = _AssignmentLayout(fix_e1).network(counts_of(fix_e1, {("s1", "s1"): 2}))
     flow1 = min_cost_max_flow(net1)
     assert (flow1.value, flow1.cost) == (2, 4)
 
-    net2 = assignment_network(
-        fix_e2, Partition({("s1", "s1"): 2, ("s1", "s2"): 1})
+    net2 = _AssignmentLayout(fix_e2).network(
+        counts_of(fix_e2, {("s1", "s1"): 2, ("s1", "s2"): 1})
     )
     flow2 = min_cost_max_flow(net2)
     assert (flow2.value, flow2.cost) == (3, 3)
@@ -296,7 +298,9 @@ def test_dijkstra_pops_nondecreasing_distances_within_a_round(monkeypatch):
 
     import gbb.flow
     from gbb.generate import generate_instance
-    from gbb.swm import _AssignmentLayout, enumerate_partitions
+    from gbb.swm import _AssignmentLayout
+
+    from tests.test_swm import enumerate_partitions
 
     pops = []
 

@@ -1,5 +1,5 @@
-"""Source hygiene: no dead imports, and every attribute the benchmark's
-tracer wraps still exists."""
+"""Source hygiene: no dead imports, no definition that only tests call, and
+every attribute the benchmark's tracer wraps still exists."""
 
 import ast
 import importlib
@@ -54,3 +54,54 @@ def test_tracer_targets_resolve():
             if not hasattr(importlib.import_module(module_name), attr):
                 missing.append(dotted)
     assert missing == []
+
+
+# Definitions kept although nothing in ``src/gbb`` or ``benchmarks`` calls
+# them, each with its reason.
+TEST_ONLY_ALLOWED = {
+    "surplus_totals": "keeps gbb.verify.all_surpluses imported, which the "
+    "benchmark tracer wraps, until ROADMAP item 1 retargets the tracer",
+}
+
+
+def referenced_names(source):
+    """Every name ``source`` reads, reads as an attribute or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    return names
+
+
+def test_every_src_definition_has_a_non_test_caller():
+    probe = "from m import a\nx = b.c\nd()\ndef e(): pass\n"
+    assert referenced_names(probe) == {"a", "b", "c", "d"}
+
+    # ``__init__.py`` re-exports everything, so its imports prove no use.
+    package = [
+        path
+        for path in sorted((ROOT / "src" / "gbb").glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    callers = package + sorted((ROOT / "benchmarks").glob("*.py"))
+    referenced = set().union(
+        *(referenced_names(path.read_text(encoding="utf-8")) for path in callers)
+    )
+    referenced |= {
+        dotted.rsplit(".", 1)[1]
+        for _, _, attributes in TARGETS
+        for dotted in attributes
+    }
+    unreferenced = [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
+        for path in package
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in referenced
+        and node.name not in TEST_ONLY_ALLOWED
+    ]
+    assert unreferenced == []

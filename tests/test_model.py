@@ -20,13 +20,12 @@ from gbb.model import (
     group_partition,
     market_price_of_choice,
     market_prices,
-    social_welfare,
     triggered,
     triggered_tiers,
     utilities,
     validate_market,
 )
-from gbb.swm import Partition, solve_swm, total_price
+from gbb.swm import solve_swm, total_price
 
 MU_A = Allocation({"b1": ("s1", "s1"), "b2": ("s1", "s1")})
 MU_STAR = Allocation(
@@ -40,7 +39,7 @@ def exhaustive_best_welfare(market):
     ids = [b.id for b in market.buyers]
     best = None
     for combo in itertools.product(cells, repeat=len(ids)):
-        sw = social_welfare(market, Allocation(dict(zip(ids, combo))))
+        sw = sum(utilities(market, Allocation(dict(zip(ids, combo)))).values())
         if best is None or sw > best:
             best = sw
     return best
@@ -181,13 +180,13 @@ def test_utility_and_social_welfare(fix_e1, fix_e2):
     assert exhaustive_best_welfare(fix_e2) == 9
 
     assert utilities(fix_e1, MU_A) == {"b1": 5, "b2": 1}
-    assert social_welfare(fix_e1, MU_A) == 6
-    assert social_welfare(fix_e2, MU_STAR) == 9
+    assert sum(utilities(fix_e1, MU_A).values()) == 6
+    assert sum(utilities(fix_e2, MU_STAR).values()) == 9
 
     all_null = Allocation(
         {b.id: (NULL_VENDOR,) * 2 for b in fix_e1.buyers}
     )
-    assert social_welfare(fix_e1, all_null) == 0
+    assert sum(utilities(fix_e1, all_null).values()) == 0
 
 
 def test_best_alternative(fix_e1):
@@ -257,7 +256,7 @@ def test_group_partition_no_discount_no_negative_groups(fix_e1):
         buyers=list(fix_e1.buyers),
     )
     alloc = Allocation({"b1": ("s1", "s1"), "b2": ("s2", "s2")})
-    assert exhaustive_best_welfare(market) == social_welfare(market, alloc)
+    assert exhaustive_best_welfare(market) == sum(utilities(market, alloc).values())
     gp = group_partition(market, alloc)
     assert gp.negative_groups == {}
     assert gp.positive_groups == {}
@@ -381,16 +380,15 @@ def reference_group_partition(market, alloc):
     )
 
 
-def reference_total_price(market, partition):
+def reference_total_price(market, counts):
+    cells = list(zip(market.vendor_tuples, counts))
     demand = {v.id: [0] * market.c for v in market.vendors}
-    for choice, n in partition.counts.items():
-        if n == 0:
-            continue
+    for choice, n in cells:
         for k, vid in enumerate(choice):
             demand[vid][k] += n
     trig = triggered_tiers(market, {vid: tuple(d) for vid, d in demand.items()})
     total = 0
-    for choice, n in partition.counts.items():
+    for choice, n in cells:
         if n:
             total += n * market_price_of_choice(market, choice, trig)
     return total
@@ -417,12 +415,11 @@ def test_pricing_agrees_with_per_buyer_reference():
             assert all_surpluses(market, alloc) == {
                 b: reference_surplus(market, alloc, b) for b in ids
             }
-            assert social_welfare(market, alloc) == sum(expected_utilities.values())
 
             cells = market.vendor_tuples
             chosen = list(alloc.choice.values())
-            part = Partition({cell: chosen.count(cell) for cell in cells})
-            assert total_price(market, part) == reference_total_price(market, part)
+            counts = tuple(chosen.count(cell) for cell in cells)
+            assert total_price(market, counts) == reference_total_price(market, counts)
 
             gp = group_partition(market, alloc)
             ref = reference_group_partition(market, alloc)

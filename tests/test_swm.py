@@ -1,4 +1,9 @@
-"""Partition enumeration and the welfare-maximizing solver."""
+"""Partition enumeration and the welfare-maximizing solver.
+
+A partition is a tuple of per-cell buyer counts aligned with
+``market.vendor_tuples``.  ``enumerate_partitions`` is the reference order
+the search must follow; the other test modules import it from here.
+"""
 
 import dataclasses
 import math
@@ -14,21 +19,54 @@ from gbb.model import (
     NULL_VENDOR,
     Vendor,
     market_prices,
-    social_welfare,
+    utilities,
 )
 from gbb.swm import (
     BudgetExceeded,
-    Partition,
     _AssignmentLayout,
     _PartitionSearch,
-    assignment_network,
-    best_allocation_for_partition,
     brute_force_swm,
-    enumerate_partitions,
     partition_count,
     solve_swm,
     total_price,
 )
+
+
+def enumerate_partitions(n_buyers, cells):
+    """All compositions of ``n_buyers`` into ``cells`` nonnegative parts.
+
+    Yields each composition exactly once, first cell counting down from
+    ``n_buyers`` (so ``(2, 0)`` precedes ``(1, 1)`` precedes ``(0, 2)``).
+    """
+    if n_buyers < 0 or cells < 1:
+        raise ValueError("need n_buyers >= 0 and cells >= 1")
+    counts = [n_buyers] + [0] * (cells - 1)
+    while True:
+        yield tuple(counts)
+        # Move one unit from the rightmost nonempty non-final cell into the
+        # cell after it, sweeping everything further right back onto it.
+        j = -1
+        for k in range(cells - 2, -1, -1):
+            if counts[k] > 0:
+                j = k
+                break
+        if j < 0:
+            return
+        carried = counts[cells - 1] + 1
+        counts[j] -= 1
+        counts[cells - 1] = 0
+        counts[j + 1] = carried
+
+
+def counts_of(market, by_cell):
+    """The counts tuple of a ``{vendor tuple: count}`` dict."""
+    return tuple(by_cell.get(cell, 0) for cell in market.vendor_tuples)
+
+
+def partition_welfare(market, counts):
+    """Best assignment matching ``counts`` and its welfare."""
+    choice, value = _AssignmentLayout(market).solve(counts)
+    return choice, value - total_price(market, counts)
 
 
 def test_enumeration_order_two_cells():
@@ -54,7 +92,7 @@ def test_enumeration_matches_binomial_grid():
 
 
 def test_assignment_network_shape(fix_e1):
-    net = assignment_network(fix_e1, Partition({("s1", "s1"): 2}))
+    net = _AssignmentLayout(fix_e1).network(counts_of(fix_e1, {("s1", "s1"): 2}))
     # source + 2 buyers + 9 tuples + sink
     assert net.node_count == 13
     source_edges = [e for e in net.edges if e.tail == net.source]
@@ -73,35 +111,37 @@ def test_assignment_network_shape(fix_e1):
 
 
 def test_zero_capacity_cell_gets_no_buyers(fix_e1):
-    part = Partition({("s1", "s1"): 1, ("s2", "s2"): 1})
-    alloc, _ = best_allocation_for_partition(fix_e1, part)
-    counts = {}
-    for choice in alloc.choice.values():
-        counts[choice] = counts.get(choice, 0) + 1
-    assert counts == {("s1", "s1"): 1, ("s2", "s2"): 1}
+    counts = counts_of(fix_e1, {("s1", "s1"): 1, ("s2", "s2"): 1})
+    choice, _ = _AssignmentLayout(fix_e1).solve(counts)
+    chosen = list(choice.values())
+    assert counts_of(fix_e1, {cell: chosen.count(cell) for cell in chosen}) == counts
 
 
 def test_single_buyer_forced_assignment():
     market = Market.build(
         c=1, vendors=[Vendor("s1", (3,))], buyers=[Buyer("b1", {("s1",): 5})]
     )
-    alloc, welfare = best_allocation_for_partition(
-        market, Partition({("s1",): 1, (NULL_VENDOR,): 0})
+    choice, welfare = partition_welfare(
+        market, counts_of(market, {("s1",): 1, (NULL_VENDOR,): 0})
     )
-    assert alloc.choice == {"b1": ("s1",)}
+    assert choice == {"b1": ("s1",)}
     assert welfare == 2
 
 
 def test_total_price(fix_e1):
-    assert total_price(fix_e1, Partition({("s1", "s1"): 2})) == 10
-    assert total_price(fix_e1, Partition({("s1", "s1"): 1, ("s2", "s2"): 1})) == 14
-    assert total_price(fix_e1, Partition({(NULL_VENDOR, NULL_VENDOR): 2})) == 0
+    def price(by_cell):
+        return total_price(fix_e1, counts_of(fix_e1, by_cell))
+
+    assert price({("s1", "s1"): 2}) == 10
+    assert price({("s1", "s1"): 1, ("s2", "s2"): 1}) == 14
+    assert price({(NULL_VENDOR, NULL_VENDOR): 2}) == 0
 
 
 def test_total_price_constant_across_assignments(fix_e2):
     # any assignment matching the counts pays the same total
-    part = Partition({("s1", "s1"): 2, ("s1", "s2"): 1})
-    expected = total_price(fix_e2, part)
+    expected = total_price(
+        fix_e2, counts_of(fix_e2, {("s1", "s1"): 2, ("s1", "s2"): 1})
+    )
     ids = [b.id for b in fix_e2.buyers]
     slots = [("s1", "s1"), ("s1", "s1"), ("s1", "s2")]
     import itertools
@@ -113,16 +153,12 @@ def test_total_price_constant_across_assignments(fix_e2):
 
 
 def test_best_allocation_for_partition_welfare(fix_e1, fix_e2):
-    assert best_allocation_for_partition(fix_e1, Partition({("s1", "s1"): 2}))[1] == 6
-    assert (
-        best_allocation_for_partition(
-            fix_e2, Partition({("s1", "s1"): 2, ("s1", "s2"): 1})
-        )[1]
-        == 9
-    )
-    assert (
-        best_allocation_for_partition(fix_e2, Partition({("s1", "s1"): 3}))[1] == 6
-    )
+    def welfare(market, by_cell):
+        return partition_welfare(market, counts_of(market, by_cell))[1]
+
+    assert welfare(fix_e1, {("s1", "s1"): 2}) == 6
+    assert welfare(fix_e2, {("s1", "s1"): 2, ("s1", "s2"): 1}) == 9
+    assert welfare(fix_e2, {("s1", "s1"): 3}) == 6
 
 
 def test_solve_swm_fixtures(fix_e1, fix_e2):
@@ -161,8 +197,7 @@ def test_no_partition_beats_the_solver(fix_e2):
     best = solve_swm(fix_e2)
     hit = 0
     for counts in enumerate_partitions(3, 9):
-        part = Partition(dict(zip(fix_e2.vendor_tuples, counts)))
-        _, welfare = best_allocation_for_partition(fix_e2, part)
+        _, welfare = partition_welfare(fix_e2, counts)
         assert welfare <= best.social_welfare
         if welfare == best.social_welfare:
             hit += 1
@@ -228,7 +263,7 @@ def test_solver_matches_oracle_on_random_instances():
         fast = solve_swm(market)
         _, slow = brute_force_swm(market)
         assert fast.social_welfare == slow
-        assert social_welfare(market, fast.allocation) == slow
+        assert sum(utilities(market, fast.allocation).values()) == slow
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
@@ -251,7 +286,6 @@ def test_jobs_argument_is_deprecated_and_ignored(fix_e2):
         with pytest.warns(DeprecationWarning, match="jobs"):
             two = solve_swm(market, jobs=2)
         assert two.social_welfare == one.social_welfare
-        assert two.partition.counts == one.partition.counts
         assert dict(two.allocation.choice) == dict(one.allocation.choice)
         assert two.flows_solved == one.flows_solved
         assert two.partitions_priced == one.partitions_priced
@@ -279,11 +313,6 @@ def test_equal_welfare_ties_pick_lexicographically_smallest_partition():
     res = solve_swm(market)
     assert res.social_welfare == 0
     # cells sort as (null), (s1), (s2); counts (0, 0, 1) is the smallest
-    assert res.partition.counts == {
-        (NULL_VENDOR,): 0,
-        ("s1",): 0,
-        ("s2",): 1,
-    }
     assert res.allocation.choice == {"b1": ("s2",)}
 
 
@@ -320,11 +349,10 @@ def _flat_reference(market):
     layout = _AssignmentLayout(market)
     n, cells = len(market.buyers), len(market.vendor_tuples)
     for counts in enumerate_partitions(n, cells):
-        part = Partition(dict(zip(market.vendor_tuples, counts)))
         choice, value = layout.solve(counts)
-        welfare = value - total_price(market, part)
+        welfare = value - total_price(market, counts)
         if best is None or welfare >= best[0]:
-            best = (welfare, part, choice)
+            best = (welfare, choice)
     return best
 
 
@@ -344,10 +372,9 @@ def test_pruned_solver_picks_the_flat_enumerations_partition():
             seed=rng.randrange(10**6),
             max_value=rng.choice((2, 3, 6, 20)),
         )
-        welfare, part, choice = _flat_reference(market)
+        welfare, choice = _flat_reference(market)
         res = solve_swm(market)
         assert res.social_welfare == welfare
-        assert res.partition.counts == part.counts
         assert res.allocation.choice == choice
         checked += 1
 
@@ -387,11 +414,10 @@ def test_search_leaf_price_is_total_price_on_every_composition():
         tier_counts.update(len(v.tiers) for v in market.real_vendors)
         search = _RecordingSearch(market)
         search.run()
-        cells = market.vendor_tuples
         assert [counts for counts, _ in search.leaves] == list(
-            enumerate_partitions(n, len(cells))
+            enumerate_partitions(n, market.cell_count)
         )
         for counts, price in search.leaves:
-            assert price == total_price(market, Partition(dict(zip(cells, counts))))
+            assert price == total_price(market, counts)
         checked += 1
     assert tier_counts == {0, 1, 2}
