@@ -26,7 +26,7 @@ from .model import (
     utilities,
     validate_market,
 )
-from .flow import Flow, FlowNetwork, NetworkBuilder, max_flow, min_cost_max_flow
+from .flow import Flow, FlowNetwork, max_flow, min_cost_max_flow
 from .swm import (
     BudgetExceeded,
     SwmResult,

@@ -43,6 +43,7 @@ from .swm import (
     DEFAULT_PARTITION_CAP,
     BudgetExceeded,
     brute_force_swm,
+    count_text,
     partition_count,
     solve_swm,
 )
@@ -92,18 +93,19 @@ def _market_prices(prices: PriceVector) -> dict[BuyerId, Money]:
 def _solve_and_emit(
     args: argparse.Namespace,
     solver: str,
-    solve: Callable[[Market], tuple[Allocation, Money, int, int]],
+    solve: Callable[[Market], tuple[Allocation, Money, int]],
     run_checks: bool = True,
     timings: bool = False,
 ) -> int:
     """Load, solve, price, certify and emit one solution document.
 
-    ``solve`` returns the allocation, its welfare and the counts of
-    partitions (or allocations) in the search space and evaluated.
+    ``solve`` returns the allocation, its welfare and the count of
+    partitions (or allocations) in the search space, every one of which
+    the solver covers.
     """
     market = _load_valid_instance(args.instance)
     started = time.perf_counter()
-    alloc, welfare, count, evaluated = solve(market)
+    alloc, welfare, count = solve(market)
     solved = time.perf_counter()
 
     gp = group_partition(market, alloc)
@@ -116,7 +118,7 @@ def _solve_and_emit(
     metadata = {
         "solver": solver,
         "partition_count": count,
-        "partitions_evaluated": evaluated,
+        "partitions_evaluated": count,
         "seed": None,
         "timings": None,
     }
@@ -147,14 +149,9 @@ def _solve_and_emit(
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    def solve(market: Market) -> tuple[Allocation, Money, int, int]:
+    def solve(market: Market) -> tuple[Allocation, Money, int]:
         result = solve_swm(market, max_partitions=args.max_partitions)
-        return (
-            result.allocation,
-            result.social_welfare,
-            result.partitions_total,
-            result.partitions_evaluated,
-        )
+        return result.allocation, result.social_welfare, result.partitions_evaluated
 
     return _solve_and_emit(
         args,
@@ -166,12 +163,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    def solve(market: Market) -> tuple[Allocation, Money, int, int]:
+    def solve(market: Market) -> tuple[Allocation, Money, int]:
         alloc, welfare = brute_force_swm(
             market, max_allocations=args.max_allocations
         )
-        count = market.cell_count ** len(market.buyers)
-        return alloc, welfare, count, count
+        return alloc, welfare, market.cell_count ** len(market.buyers)
 
     return _solve_and_emit(args, "exhaustive", solve)
 
@@ -250,7 +246,8 @@ def cmd_partitions(args: argparse.Namespace) -> int:
     market = _load_valid_instance(args.instance)
     n = len(market.buyers)
     cells = market.cell_count
-    print(f"buyers={n} cells={cells} partitions={partition_count(n, cells)}")
+    count = count_text(partition_count(n, cells))
+    print(f"buyers={n} cells={count_text(cells)} partitions={count}")
     return EXIT_OK
 
 

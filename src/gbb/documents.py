@@ -20,6 +20,7 @@ from .model import (
     Buyer,
     BuyerId,
     DiscountTier,
+    ITEM_TYPES_LIMIT,
     Market,
     Money,
     NULL_VENDOR,
@@ -167,6 +168,8 @@ def instance_from_dict(data: Any) -> Market:
     if schema != INSTANCE_SCHEMA:
         raise DocumentError(f"instance: schema {schema!r} is not {INSTANCE_SCHEMA!r}")
     c = _as_int(c, "item_types", minimum=1)
+    if c > ITEM_TYPES_LIMIT:
+        raise DocumentError(f"item_types: must be <= {ITEM_TYPES_LIMIT}")
 
     vendors: list[Vendor] = []
     for i, entry in enumerate(_as_list(vendor_list, "vendors")):
@@ -268,7 +271,7 @@ def solution_to_dict(bundle: SolutionBundle) -> dict:
         "buyers": buyers,
         "group_transfers": [
             {"vendor": s, "group": list(x), "amount": amount}
-            for s, x, amount in bundle.group_transfers.sorted_entries()
+            for (s, x), amount in sorted(bundle.group_transfers.entries.items())
         ],
         "transfers": [
             {"payer": payer, "payee": payee, "amount": rational_to_str(amount)}

@@ -47,32 +47,6 @@ class FlowNetwork:
                 raise ValueError(f"negative cost on edge {edge}")
 
 
-class NetworkBuilder:
-    """Incremental construction of an immutable FlowNetwork."""
-
-    def __init__(self) -> None:
-        self._node_count = 0
-        self._edges: list[Edge] = []
-
-    def add_node(self) -> int:
-        node = self._node_count
-        self._node_count += 1
-        return node
-
-    def add_edge(
-        self, tail: int, head: int, capacity: int, cost: int = 0, tag: Any = None
-    ) -> None:
-        self._edges.append(Edge(tail, head, capacity, cost, tag))
-
-    def build(self, source: int, sink: int) -> FlowNetwork:
-        return FlowNetwork(
-            node_count=self._node_count,
-            source=source,
-            sink=sink,
-            edges=tuple(self._edges),
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class Flow:
     """An integral flow: per-edge values aligned with the network's edges."""

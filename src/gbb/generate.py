@@ -10,14 +10,26 @@ from __future__ import annotations
 
 import random
 
-from .model import Buyer, DiscountTier, Market, Money, NULL_VENDOR, Vendor, VendorTuple
+from .model import (
+    Buyer,
+    DiscountTier,
+    ITEM_TYPES_LIMIT,
+    Market,
+    Money,
+    NULL_VENDOR,
+    Vendor,
+    VendorTuple,
+)
 
 
 def generate_instance(
     buyers: int, vendors: int, items: int, seed: int, max_value: int = 20
 ) -> Market:
-    if buyers < 0 or vendors < 1 or items < 1 or max_value < 1:
-        raise ValueError("need buyers >= 0, vendors >= 1, items >= 1, max_value >= 1")
+    if buyers < 0 or vendors < 1 or not 1 <= items <= ITEM_TYPES_LIMIT or max_value < 1:
+        raise ValueError(
+            f"need buyers >= 0, vendors >= 1, 1 <= items <= {ITEM_TYPES_LIMIT}, "
+            "max_value >= 1"
+        )
     rng = random.Random(seed)
 
     vendor_list: list[Vendor] = []

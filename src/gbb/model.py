@@ -22,6 +22,12 @@ VendorTuple = tuple[VendorId, ...]
 #: has zero prices and no reachable discount, and is always part of a market.
 NULL_VENDOR: VendorId = "null"
 
+#: Largest item-type count an instance document or the generator may give.
+#: Past 64 item types a market with a real vendor has at least 2^65 cells,
+#: beyond any enumeration, yet every buyer's choice in a solution document
+#: still names one vendor per item type.
+ITEM_TYPES_LIMIT = 2**10
+
 
 @dataclass(frozen=True)
 class DiscountTier:

@@ -2,7 +2,9 @@
 
 The solver conditions on a *partition*: per-cell buyer counts, a tuple
 aligned with ``market.vendor_tuples`` (the cells).  For fixed counts the
-best assignment is a min-cost max-flow on a small bipartite network.
+best assignment is a min-cost max-flow on a small bipartite network: with
+N buyers and K cells, source 0, buyer i at ``1 + i``, cell j at
+``1 + N + j`` and the sink at ``N + K + 1``.
 
 A depth-first search covers every partition: the first cell's count runs
 down from N, then the search recurses on the remaining cells, so leaves
@@ -22,8 +24,9 @@ in one process, so every bound compares against the best leaf of the whole
 order found so far.
 
 ``SwmResult.partitions_evaluated`` counts partitions covered, priced or
-ruled out with their subtree, and always equals ``partitions_total``;
-``partitions_priced`` counts leaves priced, and ``flows_solved`` flows.
+ruled out with their subtree, so it always equals ``partition_count``; it
+is the result's one partition counter.  ``partitions_priced`` counts
+leaves priced, and ``flows_solved`` flows.
 A brute-force enumerator over whole allocations serves as the independent
 oracle at desk scale.
 """
@@ -36,7 +39,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from .flow import Edge, FlowNetwork, NetworkBuilder, min_cost_max_flow
+from .flow import Edge, FlowNetwork, min_cost_max_flow
 from .model import (
     Allocation,
     Market,
@@ -50,11 +53,22 @@ DEFAULT_PARTITION_CAP = 5_000_000
 DEFAULT_ALLOCATION_CAP = 1_000_000
 
 
+def count_text(count: int) -> str:
+    """``count`` in decimal, or its bit length when ``str`` refuses it
+    (Python converts ints of at most 4 300 digits by default)."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"a {count.bit_length()}-bit number"
+
+
 class BudgetExceeded(Exception):
     """The enumeration size exceeds the configured cap."""
 
     def __init__(self, needed: int, cap: int, what: str = "partitions") -> None:
-        super().__init__(f"{needed} {what} exceed the configured cap of {cap}")
+        super().__init__(
+            f"{count_text(needed)} {what} exceed the configured cap of {cap}"
+        )
         self.needed = needed
         self.cap = cap
 
@@ -67,6 +81,8 @@ def partition_count(n_buyers: int, cells: int) -> int:
 class _AssignmentLayout:
     """Bipartite network routing each buyer to a vendor-tuple slot.
 
+    With N buyers and K cells, the source is node 0, buyer i is node
+    ``1 + i``, cell j is node ``1 + N + j`` and the sink is ``N + K + 1``.
     Source->buyer edges have unit capacity; buyer->tuple edges, tagged
     ``(buyer id, choice)``, cost ``ceiling`` less the valuation, where
     ``ceiling`` is the market's largest valuation, so no cost is negative.
@@ -84,23 +100,20 @@ class _AssignmentLayout:
             for buyer in market.buyers
         ]
         self.ceiling = max((v for row in values for v in row), default=0)
-        builder = NetworkBuilder()
-        self.source = builder.add_node()
-        buyer_nodes = [builder.add_node() for _ in market.buyers]
-        self.tuple_nodes = [builder.add_node() for _ in market.vendor_tuples]
-        self.sink = builder.add_node()
-        for node in buyer_nodes:
-            builder.add_edge(self.source, node, 1, 0)
-        for buyer, node, row in zip(market.buyers, buyer_nodes, values):
+        n, k = len(market.buyers), len(market.vendor_tuples)
+        self.tuple_nodes = range(1 + n, 1 + n + k)
+        self.sink = 1 + n + k
+        edges = [Edge(0, 1 + i, 1) for i in range(n)]
+        for i, (buyer, row) in enumerate(zip(market.buyers, values)):
             for choice, slot, value in zip(
                 market.vendor_tuples, self.tuple_nodes, row
             ):
-                builder.add_edge(
-                    node, slot, 1, self.ceiling - value, tag=(buyer.id, choice)
+                edges.append(
+                    Edge(1 + i, slot, 1, self.ceiling - value, (buyer.id, choice))
                 )
-        self.fixed = builder.build(self.source, self.sink)
+        self.fixed = FlowNetwork(self.sink + 1, 0, self.sink, tuple(edges))
         # Per buyer, (cell, value) pairs from best to worst cell; per cell j,
-        # top[j][k] is the sum of the k largest values in column j.
+        # top[j][m] is the sum of the m largest values in column j.
         self.ranked = [sorted(enumerate(row), key=lambda jv: -jv[1]) for row in values]
         self.top = [
             list(
@@ -108,7 +121,7 @@ class _AssignmentLayout:
                     sorted((row[j] for row in values), reverse=True), initial=0
                 )
             )
-            for j in range(len(self.tuple_nodes))
+            for j in range(k)
         ]
 
     def upper_bound(self, counts: tuple[int, ...], floor: Money) -> Money:
@@ -135,10 +148,7 @@ class _AssignmentLayout:
             Edge(slot, self.sink, n) for slot, n in zip(self.tuple_nodes, counts)
         )
         return FlowNetwork(
-            node_count=self.fixed.node_count,
-            source=self.source,
-            sink=self.sink,
-            edges=self.fixed.edges + sink_edges,
+            self.fixed.node_count, 0, self.sink, self.fixed.edges + sink_edges
         )
 
     def solve(self, counts: tuple[int, ...]) -> tuple[dict, Money]:
@@ -169,7 +179,6 @@ def total_price(market: Market, counts: tuple[int, ...]) -> Money:
 class SwmResult:
     allocation: Allocation
     social_welfare: Money
-    partitions_total: int
     partitions_evaluated: int
     partitions_priced: int
     flows_solved: int
@@ -221,7 +230,6 @@ def solve_swm(
     return SwmResult(
         allocation=Allocation(choice=choice),
         social_welfare=welfare,
-        partitions_total=total,
         partitions_evaluated=total,
         partitions_priced=search.priced,
         flows_solved=search.flows,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping
 
-from .flow import FlowNetwork, NetworkBuilder, max_flow
+from .flow import Edge, FlowNetwork, max_flow
 from .model import (
     Allocation,
     BuyerId,
@@ -60,9 +60,6 @@ class GroupTransfers:
         for (_vendor, group), amount in self.entries.items():
             totals[group] = totals.get(group, 0) + amount
         return totals
-
-    def sorted_entries(self) -> list[tuple[VendorId, VendorTuple, Money]]:
-        return [(s, x, a) for (s, x), a in sorted(self.entries.items())]
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,24 +106,24 @@ class PriceVector:
 
 def group_transfer_network(gp: GroupPartition) -> FlowNetwork:
     """Three-layer network whose feasible flows are exactly the rational
-    group transfers: source -> choice groups -> vendors -> sink."""
-    builder = NetworkBuilder()
-    source = builder.add_node()
-    group_nodes = {x: builder.add_node() for x in sorted(gp.negative_groups)}
+    group transfers: source -> choice groups -> vendors -> sink.
+
+    The source is node 0, then come the negative groups in sorted order,
+    then the vendors in sorted id order, then the sink."""
+    groups = sorted(gp.negative_groups)
     vendor_ids = sorted(
-        {s for x in gp.negative_groups for s in x}
+        {s for x in groups for s in x}
         | {s for s, total in gp.positive_totals.items() if total > 0}
     )
-    vendor_nodes = {s: builder.add_node() for s in vendor_ids}
-    sink = builder.add_node()
-    for x, node in group_nodes.items():
-        builder.add_edge(source, node, gp.negative_totals[x], 0)
-    for x, node in group_nodes.items():
+    vendor_node = {s: 1 + len(groups) + i for i, s in enumerate(vendor_ids)}
+    sink = 1 + len(groups) + len(vendor_ids)
+    edges = [Edge(0, 1 + i, gp.negative_totals[x]) for i, x in enumerate(groups)]
+    for i, x in enumerate(groups):
         for s in x:
-            builder.add_edge(node, vendor_nodes[s], gp.negative_totals[x], 0, tag=(s, x))
-    for s, node in vendor_nodes.items():
-        builder.add_edge(node, sink, gp.positive_totals.get(s, 0), 0)
-    return builder.build(source, sink)
+            edges.append(Edge(1 + i, vendor_node[s], gp.negative_totals[x], 0, (s, x)))
+    for s, node in vendor_node.items():
+        edges.append(Edge(node, sink, gp.positive_totals.get(s, 0)))
+    return FlowNetwork(sink + 1, 0, sink, tuple(edges))
 
 
 def solve_group_transfers(

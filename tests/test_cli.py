@@ -185,6 +185,71 @@ def test_verify_does_not_build_the_cells(capsys, tmp_path, monkeypatch):
     assert out.splitlines() == [f"{check}: PASS" for check in STANDARD_CHECKS]
 
 
+def write_instance(path, item_types, vendors, n_buyers):
+    """An instance document whose ``n_buyers`` buyers value nothing."""
+    path.write_text(
+        json.dumps(
+            {
+                "schema": "gbb-market/1",
+                "item_types": item_types,
+                "vendors": vendors,
+                "buyers": [
+                    {"id": f"b{i}", "valuations": []} for i in range(n_buyers)
+                ],
+            }
+        )
+    )
+    return str(path)
+
+
+def assert_clean(err):
+    assert "Traceback" not in err
+    assert "internal error" not in err
+
+
+def test_oracle_refuses_an_allocation_count_too_long_for_decimal(capsys, tmp_path):
+    # 9^4600 allocations have 4 390 digits, past what str() converts.
+    market = str(tmp_path / "g.json")
+    argv = ["gen", "--buyers", "4600", "--vendors", "2", "--items", "2", "--seed", "1"]
+    assert main(argv + ["--out", market]) == 0
+    code, _, err = run(capsys, ["oracle", market])
+    assert code == 3
+    assert "a 14582-bit number allocations exceed the configured cap" in err
+    assert_clean(err)
+
+
+def test_counts_too_long_for_decimal_print_as_bit_lengths(capsys, tmp_path):
+    vendors = [{"id": "s1", "base_prices": [1] * 64, "discounts": []}]
+    market = write_instance(tmp_path / "wide300.json", 64, vendors, 300)
+    code, out, err = run(capsys, ["partitions", market])
+    assert code == 0
+    assert out.strip() == f"buyers=300 cells={2**64} partitions=a 17159-bit number"
+    assert_clean(err)
+    for command, bits in (("solve", 17159), ("oracle", 19201)):
+        code, _, err = run(capsys, [command, market])
+        assert code == 3, command
+        assert f"a {bits}-bit number" in err
+        assert_clean(err)
+
+
+def test_item_types_over_the_limit_exit_2(capsys, tmp_path):
+    market = write_instance(tmp_path / "huge.json", 10**12, [], 1)
+    for argv in (
+        ["partitions", market],
+        ["solve", market],
+        ["verify", market, data_path("fix_e1.solve.json")],
+    ):
+        code, _, err = run(capsys, argv)
+        assert code == 2, argv[0]
+        assert "item_types: must be <= 1024" in err
+        assert_clean(err)
+    argv = ["gen", "--buyers", "1", "--vendors", "1", "--seed", "1"]
+    code, _, err = run(capsys, argv + ["--items", str(10**12)])
+    assert code == 2
+    assert "items <= 1024" in err
+    assert_clean(err)
+
+
 def test_solve_unstabilizable_exit(capsys, fix_e1_path, monkeypatch):
     import gbb.cli as cli
     from gbb.model import Allocation
@@ -195,7 +260,6 @@ def test_solve_unstabilizable_exit(capsys, fix_e1_path, monkeypatch):
         return SwmResult(
             allocation=alloc,
             social_welfare=0,
-            partitions_total=1,
             partitions_evaluated=1,
             partitions_priced=1,
             flows_solved=1,

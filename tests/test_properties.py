@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from gbb.cli import main  # noqa: E402
 from gbb.flow import Edge, FlowNetwork, max_flow, min_cost_max_flow  # noqa: E402
 from gbb.generate import generate_instance  # noqa: E402
-from gbb.model import Buyer, Market, NULL_VENDOR  # noqa: E402
+from gbb.model import Buyer, ITEM_TYPES_LIMIT, Market, NULL_VENDOR  # noqa: E402
 from gbb.swm import brute_force_swm, solve_swm  # noqa: E402
 
 from tests.conftest import data_path  # noqa: E402
@@ -41,7 +41,7 @@ def small_markets(draw):
 def test_solve_swm_matches_brute_force(market):
     res = solve_swm(market)
     assert res.social_welfare == brute_force_swm(market)[1]
-    assert res.flows_solved <= res.partitions_total
+    assert res.flows_solved <= res.partitions_evaluated
 
 
 @st.composite
@@ -166,3 +166,80 @@ def test_mutated_documents_end_in_a_documented_exit(tmp_path_factory, mutated):
         code, err = _run(argv)
         assert code in allowed, (argv[0], code, err)
         assert "Traceback" not in err
+
+
+def _cycled(draw, elements, length):
+    """``length`` values repeating a drawn pattern of one to three."""
+    pattern = draw(st.lists(elements, min_size=1, max_size=3))
+    return (pattern * length)[:length]
+
+
+def _length(draw, c):
+    """Mostly ``c`` (at most one past the limit), so that a fair share of
+    documents is valid; otherwise 0-3."""
+    if draw(st.integers(0, 4)):
+        return min(c, ITEM_TYPES_LIMIT + 1)
+    return draw(st.integers(0, 3))
+
+
+@st.composite
+def instance_documents(draw):
+    """An instance document built from scratch: an item-type count at,
+    under or over the limit, 0-3 vendors with base-price lists of random
+    length and random discount records, and 0-4 buyers with random
+    valuations or 300 buyers without any.  Lists meant to span every item
+    type are cut one past the limit."""
+    c = draw(
+        st.sampled_from(
+            (1, 2, 3, 64, ITEM_TYPES_LIMIT, ITEM_TYPES_LIMIT + 1, 10**12, 0)
+        )
+    )
+    vendor_ids = ("s1", "s2", "s3")[: draw(st.integers(0, 3))]
+    vendors = [
+        {
+            "id": vid,
+            "base_prices": _cycled(draw, st.integers(0, 6), _length(draw, c)),
+            "discounts": [
+                {
+                    "thresholds": _cycled(draw, st.integers(0, 3), _length(draw, c)),
+                    "bundle_price": draw(st.integers(-1, 20)),
+                }
+                for _ in range(draw(st.integers(0, 1)))
+            ],
+        }
+        for vid in vendor_ids
+    ]
+    names = st.sampled_from(vendor_ids + (NULL_VENDOR,))
+    if draw(st.booleans()):
+        buyers = [{"id": f"b{i}", "valuations": []} for i in range(300)]
+    else:
+        buyers = []
+        for i in range(draw(st.integers(0, 4))):
+            values = {}
+            for _ in range(draw(st.integers(0, 3))):
+                choice = tuple(_cycled(draw, names, _length(draw, c)))
+                values[choice] = draw(st.integers(0, 10))
+            valuations = [{"choice": list(x), "value": v} for x, v in values.items()]
+            buyers.append({"id": f"b{i}", "valuations": valuations})
+    return {
+        "schema": "gbb-market/1",
+        "item_types": c,
+        "vendors": vendors,
+        "buyers": buyers,
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance_documents())
+def test_instance_documents_end_in_a_documented_exit(tmp_path_factory, doc):
+    path = str(tmp_path_factory.getbasetemp() / "instance.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    for argv, allowed in (
+        (["partitions", path], {0, 2}),
+        (["solve", path, "--max-partitions", "2000"], {0, 2, 3, 4}),
+        (["oracle", path, "--max-allocations", "2000"], {0, 2, 3, 4}),
+    ):
+        code, err = _run(argv)
+        assert code in allowed, (argv[0], code, err)
+        assert "Traceback" not in err and "internal error" not in err, err
