@@ -23,7 +23,6 @@ from .model import (
     group_partition,
     market_prices,
     triggered,
-    utilities,
     validate_market,
 )
 from .flow import Flow, FlowNetwork, max_flow, min_cost_max_flow

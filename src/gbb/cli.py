@@ -29,15 +29,7 @@ from .documents import (
     to_canonical_json,
 )
 from .generate import generate_instance
-from .model import (
-    Allocation,
-    BuyerId,
-    Market,
-    Money,
-    group_partition,
-    utilities,
-    validate_market,
-)
+from .model import Allocation, Market, Money, group_partition, validate_market
 from .swm import (
     DEFAULT_ALLOCATION_CAP,
     DEFAULT_PARTITION_CAP,
@@ -48,10 +40,8 @@ from .swm import (
     solve_swm,
 )
 from .transfers import (
-    PriceVector,
     Unstabilizable,
     fair_buyer_transfers,
-    price_vector,
     prices_from_transfers,
     solve_group_transfers,
 )
@@ -84,10 +74,6 @@ def _load_valid_instance(path: str) -> Market:
             "invalid instance:\n  " + "\n  ".join(report.violations)
         )
     return market
-
-
-def _market_prices(prices: PriceVector) -> dict[BuyerId, Money]:
-    return {b: entry.market_price for b, entry in prices.entries.items()}
 
 
 def _solve_and_emit(
@@ -133,8 +119,8 @@ def _solve_and_emit(
         social_welfare=welfare,
         allocation=alloc,
         prices=prices,
-        utilities=utilities(market, alloc, _market_prices(prices)),
-        surpluses=dict(gp.surplus),
+        utilities=gp.utility,
+        surpluses=gp.surplus,
         group_transfers=gt,
         matrix=matrix,
         certificate=report.to_jsonable() if report is not None else None,
@@ -188,6 +174,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    """Check a stored solution's fields against one ``group_partition`` of
+    its instance, then certify its own price vector."""
     market = _load_valid_instance(args.instance)
     solution = load_solution(args.solution)
     stored = solution.prices.entries
@@ -196,31 +184,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise DocumentError("solution buyer set does not match the instance")
 
     try:
-        # Market prices are re-derived from the instance; only the deltas
-        # are taken from the document.
-        deltas = {b: entry.delta for b, entry in stored.items()}
-        prices = price_vector(market, solution.allocation, deltas)
         gp = group_partition(market, solution.allocation)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
-    # The fields no check reads must still be the ones the instance and the
-    # stored deltas give.
-    derived_utilities = utilities(
-        market, solution.allocation, _market_prices(prices)
-    )
     for b in market.buyer_ids:
-        entry = prices.entries[b]
+        entry = stored[b]
         for field, value, derived in (
-            ("market_price", stored[b].market_price, entry.market_price),
-            ("final_price", stored[b].final, entry.final),
-            ("utility", solution.utilities[b], derived_utilities[b]),
+            ("market_price", entry.market_price, gp.market_price[b]),
+            ("final_price", entry.final, gp.market_price[b] + entry.delta),
+            ("utility", solution.utilities[b], gp.utility[b]),
             ("surplus", solution.surpluses[b], gp.surplus[b]),
         ):
             if value != derived:
                 raise DocumentError(
                     f"buyer {b}: stored {field} {value} != derived {derived}"
                 )
-    welfare = sum(derived_utilities.values())
+    welfare = sum(gp.utility.values())
     if solution.social_welfare != welfare:
         raise DocumentError(
             f"stored social_welfare {solution.social_welfare} != derived {welfare}"
@@ -229,7 +208,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = certify(
         market,
         solution.allocation,
-        prices,
+        solution.prices,
         solution.group_transfers,
         solution.matrix,
         gp=gp,

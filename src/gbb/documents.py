@@ -353,6 +353,8 @@ def solution_from_dict(data: Any) -> SolutionBundle:
         payer, payee, amount = _record(entry, ("payer", "payee", "amount"), where)
         payer = _as_str(payer, f"{where}.payer")
         payee = _as_str(payee, f"{where}.payee")
+        if payer == payee:
+            raise DocumentError(f"{where}: payer {payer!r} pays itself")
         if (payer, payee) in matrix_entries:
             raise DocumentError(f"{where}: duplicate transfer {payer!r} -> {payee!r}")
         amount = _rational(amount, f"{where}.amount")

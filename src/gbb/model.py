@@ -2,7 +2,8 @@
 
 All money amounts are integer minor currency units (``Money``).  Exact
 rational amounts only appear downstream, when group transfers are split
-between individual buyers.
+between individual buyers.  ``group_partition`` prices an allocation once,
+keeping each buyer's market price, utility and surplus.
 """
 
 from __future__ import annotations
@@ -150,7 +151,8 @@ class Allocation:
 
 @dataclass(frozen=True, eq=False)
 class GroupPartition:
-    """Buyers split by choice and surplus sign, with group totals.
+    """Each buyer's market price, utility and surplus, and the buyers split
+    by choice and surplus sign, with group totals.
 
     ``positive_groups[s]`` holds buyers taking the full discounted bundle
     from vendor ``s`` with positive surplus; ``negative_groups[x]`` holds
@@ -162,6 +164,8 @@ class GroupPartition:
     positive_totals: Mapping[VendorId, Money]
     negative_groups: Mapping[VendorTuple, tuple[BuyerId, ...]]
     negative_totals: Mapping[VendorTuple, Money]
+    market_price: Mapping[BuyerId, Money]
+    utility: Mapping[BuyerId, Money]
     surplus: Mapping[BuyerId, Money]
 
 
@@ -350,24 +354,6 @@ def market_prices(market: Market, alloc: Allocation) -> dict[BuyerId, Money]:
     return prices
 
 
-def utilities(
-    market: Market,
-    alloc: Allocation,
-    prices: Mapping[BuyerId, Money] | None = None,
-) -> dict[BuyerId, Money]:
-    """Each buyer's valuation of her choice minus her market price.
-
-    Given ``prices`` must be ``market_prices(market, alloc)``; without them
-    they are derived here.
-    """
-    if prices is None:
-        prices = market_prices(market, alloc)
-    return {
-        buyer.id: buyer.valuation(alloc.choice[buyer.id]) - prices[buyer.id]
-        for buyer in market.buyers
-    }
-
-
 def best_alternative(market: Market, buyer_id: BuyerId) -> tuple[VendorTuple, Money]:
     """Best utility achievable at base prices over every vendor tuple.
 
@@ -394,17 +380,24 @@ def best_alternative(market: Market, buyer_id: BuyerId) -> tuple[VendorTuple, Mo
 
 def all_surpluses(market: Market, alloc: Allocation) -> dict[BuyerId, Money]:
     """Each buyer's utility minus her best base-price alternative's."""
-    u = utilities(market, alloc)
-    return {b: u[b] - best_alternative(market, b)[1] for b in market.buyer_ids}
+    return dict(group_partition(market, alloc).surplus)
 
 
 def group_partition(market: Market, alloc: Allocation) -> GroupPartition:
-    """Split buyers into positive bundle groups and negative choice groups.
+    """Price ``alloc`` once and split buyers into positive bundle groups and
+    negative choice groups.
 
-    A buyer paying base prices is worth at most her best alternative, so a
-    positive surplus means a triggered full bundle from ``choice[0]``.
+    Utility is valuation less market price, and surplus is utility less the
+    best base-price alternative's.  A buyer paying base prices is worth at
+    most her best alternative, so a positive surplus means a triggered full
+    bundle from ``choice[0]``.
     """
-    sigma = all_surpluses(market, alloc)
+    price = market_prices(market, alloc)
+    utility = {
+        buyer.id: buyer.valuation(alloc.choice[buyer.id]) - price[buyer.id]
+        for buyer in market.buyers
+    }
+    sigma = {b: u - best_alternative(market, b)[1] for b, u in utility.items()}
 
     positive: dict[VendorId, list[BuyerId]] = {}
     negative: dict[VendorTuple, list[BuyerId]] = {}
@@ -427,5 +420,7 @@ def group_partition(market: Market, alloc: Allocation) -> GroupPartition:
         negative_totals={
             x: -sum(sigma[b] for b in ids) for x, ids in negative_sorted.items()
         },
+        market_price=price,
+        utility=utility,
         surplus=sigma,
     )

@@ -230,20 +230,13 @@ def fair_buyer_transfers(
 def prices_from_transfers(
     market: Market, alloc: Allocation, matrix: TransferMatrix
 ) -> PriceVector:
-    """Fold pairwise transfers into each buyer's final price."""
+    """Fold pairwise transfers into each buyer's final price: her market
+    price under ``alloc`` plus her net outflow."""
     flows = matrix.net_outflows()
     zero = Fraction(0)
     deltas = {b: flows.pop(b, zero) for b in market.buyer_ids}
     if flows:
         raise ValueError(f"transfer references unknown buyer {next(iter(flows))!r}")
-    return price_vector(market, alloc, deltas)
-
-
-def price_vector(
-    market: Market, alloc: Allocation, deltas: Mapping[BuyerId, Fraction]
-) -> PriceVector:
-    """Each buyer's market price under ``alloc`` (from the tiers it
-    triggers) plus her delta."""
     entries: dict[BuyerId, PriceEntry] = {}
     for b, base in market_prices(market, alloc).items():
         delta = deltas[b]

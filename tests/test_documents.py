@@ -194,6 +194,25 @@ def test_solution_rejects_repeated_group_transfer(tmp_path, capsys):
     assert "group_transfers[1]" in message
 
 
+def test_solution_rejects_a_self_transfer(tmp_path, capsys):
+    # A self-transfer nets to zero, so every check would pass on it; the
+    # fair split never writes one (payers gain surplus, payees lose it).
+    from gbb.cli import main
+
+    with open(data_path("fix_e2.solve.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["transfers"].append({"payer": "b1", "payee": "b1", "amount": "1"})
+    with pytest.raises(DocumentError) as err:
+        solution_from_dict(data)
+    assert str(err.value) == "transfers[2]: payer 'b1' pays itself"
+    path = tmp_path / "self_transfer.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", data_path("fix_e2.json"), str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: transfers[2]: payer 'b1' pays itself\n"
+
+
 def test_solution_rejects_non_positive_transfer_amount(tmp_path, capsys):
     from gbb.cli import main
 

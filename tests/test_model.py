@@ -22,7 +22,6 @@ from gbb.model import (
     market_prices,
     triggered,
     triggered_tiers,
-    utilities,
     validate_market,
 )
 from gbb.swm import solve_swm, total_price
@@ -33,13 +32,17 @@ MU_STAR = Allocation(
 )
 
 
+def welfare(market, alloc):
+    return sum(group_partition(market, alloc).utility.values())
+
+
 def exhaustive_best_welfare(market):
     """Independent oracle: max social welfare over every allocation."""
     cells = market.vendor_tuples
     ids = [b.id for b in market.buyers]
     best = None
     for combo in itertools.product(cells, repeat=len(ids)):
-        sw = sum(utilities(market, Allocation(dict(zip(ids, combo)))).values())
+        sw = welfare(market, Allocation(dict(zip(ids, combo))))
         if best is None or sw > best:
             best = sw
     return best
@@ -179,14 +182,14 @@ def test_utility_and_social_welfare(fix_e1, fix_e2):
     assert exhaustive_best_welfare(fix_e1) == 6
     assert exhaustive_best_welfare(fix_e2) == 9
 
-    assert utilities(fix_e1, MU_A) == {"b1": 5, "b2": 1}
-    assert sum(utilities(fix_e1, MU_A).values()) == 6
-    assert sum(utilities(fix_e2, MU_STAR).values()) == 9
+    assert group_partition(fix_e1, MU_A).utility == {"b1": 5, "b2": 1}
+    assert welfare(fix_e1, MU_A) == 6
+    assert welfare(fix_e2, MU_STAR) == 9
 
     all_null = Allocation(
         {b.id: (NULL_VENDOR,) * 2 for b in fix_e1.buyers}
     )
-    assert sum(utilities(fix_e1, all_null).values()) == 0
+    assert welfare(fix_e1, all_null) == 0
 
 
 def test_best_alternative(fix_e1):
@@ -256,7 +259,7 @@ def test_group_partition_no_discount_no_negative_groups(fix_e1):
         buyers=list(fix_e1.buyers),
     )
     alloc = Allocation({"b1": ("s1", "s1"), "b2": ("s2", "s2")})
-    assert exhaustive_best_welfare(market) == sum(utilities(market, alloc).values())
+    assert exhaustive_best_welfare(market) == welfare(market, alloc)
     gp = group_partition(market, alloc)
     assert gp.negative_groups == {}
     assert gp.positive_groups == {}
@@ -376,6 +379,11 @@ def reference_group_partition(market, alloc):
         negative_totals={
             x: -sum(sigma[b] for b in ids) for x, ids in negative_sorted.items()
         },
+        market_price={
+            b.id: reference_buyer_market_price(market, alloc, b.id)
+            for b in market.buyers
+        },
+        utility={b.id: reference_utility(market, alloc, b.id) for b in market.buyers},
         surplus=sigma,
     )
 
@@ -410,8 +418,6 @@ def test_pricing_agrees_with_per_buyer_reference():
             assert market_prices(market, alloc) == {
                 b: reference_buyer_market_price(market, alloc, b) for b in ids
             }
-            expected_utilities = {b: reference_utility(market, alloc, b) for b in ids}
-            assert utilities(market, alloc) == expected_utilities
             assert all_surpluses(market, alloc) == {
                 b: reference_surplus(market, alloc, b) for b in ids
             }
@@ -428,6 +434,8 @@ def test_pricing_agrees_with_per_buyer_reference():
                 "positive_totals",
                 "negative_groups",
                 "negative_totals",
+                "market_price",
+                "utility",
                 "surplus",
             ):
                 got, want = getattr(gp, field), getattr(ref, field)
@@ -485,7 +493,7 @@ def test_surpluses_take_the_best_alternative_from_valued_tuples():
                 market, b
             ), trial
         alloc = _random_allocation(rng, market)
-        u = utilities(market, alloc)
+        u = group_partition(market, alloc).utility
         assert all_surpluses(market, alloc) == {
             b: u[b] - full_scan_best_alternative(market, b)[1]
             for b in market.buyer_ids

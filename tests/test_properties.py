@@ -13,10 +13,27 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from gbb.cli import main  # noqa: E402
 from gbb.flow import Edge, FlowNetwork, max_flow, min_cost_max_flow  # noqa: E402
 from gbb.generate import generate_instance  # noqa: E402
-from gbb.model import Buyer, ITEM_TYPES_LIMIT, Market, NULL_VENDOR  # noqa: E402
+from gbb.model import (  # noqa: E402
+    Buyer,
+    ITEM_TYPES_LIMIT,
+    Market,
+    NULL_VENDOR,
+    group_partition,
+)
 from gbb.swm import brute_force_swm, solve_swm  # noqa: E402
+from gbb.transfers import (  # noqa: E402
+    fair_buyer_transfers,
+    prices_from_transfers,
+    solve_group_transfers,
+)
+from gbb.verify import certify  # noqa: E402
 
 from tests.conftest import data_path  # noqa: E402
+from tests.test_model import (  # noqa: E402
+    reference_buyer_market_price,
+    reference_surplus,
+    reference_utility,
+)
 
 
 @st.composite
@@ -42,6 +59,27 @@ def test_solve_swm_matches_brute_force(market):
     res = solve_swm(market)
     assert res.social_welfare == brute_force_swm(market)[1]
     assert res.flows_solved <= res.partitions_evaluated
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_markets())
+def test_post_stage_certifies_every_welfare_maximal_solution(market):
+    result = solve_swm(market)
+    alloc = result.allocation
+    gp = group_partition(market, alloc)
+    gt = solve_group_transfers(market, alloc, gp)
+    matrix = fair_buyer_transfers(market, alloc, gp, gt)
+    prices = prices_from_transfers(market, alloc, matrix)
+    assert certify(market, alloc, prices, gt, matrix, gp=gp).all_passed
+
+    for field, reference in (
+        ("market_price", reference_buyer_market_price),
+        ("utility", reference_utility),
+        ("surplus", reference_surplus),
+    ):
+        expected = {b: reference(market, alloc, b) for b in market.buyer_ids}
+        assert getattr(gp, field) == expected, field
+    assert sum(gp.utility.values()) == result.social_welfare
 
 
 @st.composite

@@ -18,8 +18,8 @@ from gbb.model import (
     Market,
     NULL_VENDOR,
     Vendor,
+    group_partition,
     market_prices,
-    utilities,
 )
 from gbb.swm import (
     BudgetExceeded,
@@ -263,7 +263,8 @@ def test_solver_matches_oracle_on_random_instances():
         fast = solve_swm(market)
         _, slow = brute_force_swm(market)
         assert fast.social_welfare == slow
-        assert sum(utilities(market, fast.allocation).values()) == slow
+        gp = group_partition(market, fast.allocation)
+        assert sum(gp.utility.values()) == slow
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():

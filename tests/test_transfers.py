@@ -162,6 +162,8 @@ def test_fair_buyer_transfers_rejects_inconsistent_group_transfers(fix_e2):
         positive_totals={"s1": 3},
         negative_groups={("s1",): ("r",), x: ("q",)},
         negative_totals={("s1",): 2, x: 2},
+        market_price={},
+        utility={},
         surplus={"a": 3, "r": -2, "q": -2},
     )
     gt = GroupTransfers({("s1", ("s1",)): 2, ("s1", x): 2})
@@ -318,7 +320,6 @@ def test_net_outflows_match_a_fraction_fold():
 
 def test_price_vector_final_is_market_price_plus_delta():
     from gbb.model import market_price_of_choice, market_prices, triggered
-    from gbb.transfers import price_vector
 
     rng = random.Random(1202)
     for trial in range(60):
@@ -337,21 +338,15 @@ def test_price_vector_final_is_market_price_plus_delta():
             b: market_price_of_choice(market, alloc.choice[b], trig)
             for b in market.buyer_ids
         }
-        deltas = {
-            b: rng.choice(
-                (
-                    rng.randint(-9, 9),
-                    Fraction(rng.randint(-50, 50), rng.choice((1, 6, 7, 12, 97))),
-                )
-            )
-            for b in market.buyer_ids
-        }
-        prices = price_vector(market, alloc, deltas)
+        matrix = random_matrix(rng, list(market.buyer_ids), rng.randint(0, 12))
+        flows = matrix.net_outflows()
+        prices = prices_from_transfers(market, alloc, matrix)
         assert list(prices.entries) == list(market.buyer_ids)
         for b, entry in prices.entries.items():
             assert entry.market_price == base[b]
-            assert entry.delta is deltas[b]
+            assert entry.delta == flows.get(b, 0)
             assert entry.final == entry.market_price + entry.delta
+            assert type(entry.delta) is Fraction
             assert type(entry.final) is Fraction
 
 

@@ -4,13 +4,20 @@ import random
 from fractions import Fraction
 
 from gbb.generate import generate_instance
-from gbb.model import Allocation, all_surpluses, group_partition, triggered
+from gbb.model import (
+    Allocation,
+    all_surpluses,
+    group_partition,
+    market_prices,
+    triggered,
+)
 from gbb.swm import solve_swm
 from gbb.transfers import (
     GroupTransfers,
+    PriceEntry,
+    PriceVector,
     TransferMatrix,
     fair_buyer_transfers,
-    price_vector,
     prices_from_transfers,
     solve_group_transfers,
 )
@@ -37,6 +44,16 @@ def pipeline(market, alloc):
     matrix = fair_buyer_transfers(market, alloc, gp, gt)
     prices = prices_from_transfers(market, alloc, matrix)
     return gp, gt, matrix, prices
+
+
+def price_vector(market, alloc, deltas):
+    """Each buyer's market price under ``alloc`` plus her given delta."""
+    return PriceVector(
+        {
+            b: PriceEntry(market_price=p, delta=deltas[b], final=p + deltas[b])
+            for b, p in market_prices(market, alloc).items()
+        }
+    )
 
 
 def prices_with_deltas(market, alloc, deltas):
