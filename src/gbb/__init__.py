@@ -19,10 +19,8 @@ from .model import (
     VendorId,
     VendorTuple,
     best_alternative,
-    demand_vectors,
     group_partition,
     market_prices,
-    triggered,
     validate_market,
 )
 from .flow import Flow, FlowNetwork, max_flow, min_cost_max_flow

@@ -21,6 +21,7 @@ from .model import (
     BuyerId,
     DiscountTier,
     ITEM_TYPES_LIMIT,
+    MONEY_LIMIT,
     Market,
     Money,
     NULL_VENDOR,
@@ -31,10 +32,6 @@ from .transfers import GroupTransfers, PriceEntry, PriceVector, TransferMatrix
 
 INSTANCE_SCHEMA = "gbb-market/1"
 SOLUTION_SCHEMA = "gbb-solution/1"
-
-# Instance-file money must stay within signed 64-bit range so documents
-# remain portable; internal arithmetic is exact regardless.
-MONEY_LIMIT = 2**63
 
 # ASCII digits only, matched against the whole string (``$`` would also
 # accept a trailing newline, and ``\d`` any Unicode digit).

@@ -14,6 +14,7 @@ from .model import (
     Buyer,
     DiscountTier,
     ITEM_TYPES_LIMIT,
+    MONEY_LIMIT,
     Market,
     Money,
     NULL_VENDOR,
@@ -25,10 +26,18 @@ from .model import (
 def generate_instance(
     buyers: int, vendors: int, items: int, seed: int, max_value: int = 20
 ) -> Market:
-    if buyers < 0 or vendors < 1 or not 1 <= items <= ITEM_TYPES_LIMIT or max_value < 1:
+    # A bundle price stays below the sum of ``items`` base prices, each at
+    # most ``max_value``, so this bound keeps every amount writable.
+    if (
+        buyers < 0
+        or vendors < 1
+        or not 1 <= items <= ITEM_TYPES_LIMIT
+        or max_value < 1
+        or items * max_value >= MONEY_LIMIT
+    ):
         raise ValueError(
             f"need buyers >= 0, vendors >= 1, 1 <= items <= {ITEM_TYPES_LIMIT}, "
-            "max_value >= 1"
+            f"max_value >= 1, items * max_value < {MONEY_LIMIT}"
         )
     rng = random.Random(seed)
 

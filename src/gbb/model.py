@@ -2,16 +2,19 @@
 
 All money amounts are integer minor currency units (``Money``).  Exact
 rational amounts only appear downstream, when group transfers are split
-between individual buyers.  ``group_partition`` prices an allocation once,
-keeping each buyer's market price, utility and surplus.
+between individual buyers.  Discounts are triggered by demand volumes, so
+``cell_prices`` prices any multiset of choices, an allocation's or a
+partition's; ``group_partition`` prices an allocation once, keeping each
+buyer's market price, utility and surplus.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Mapping, Sequence
 
 Money = int
 VendorId = str
@@ -28,6 +31,10 @@ NULL_VENDOR: VendorId = "null"
 #: beyond any enumeration, yet every buyer's choice in a solution document
 #: still names one vendor per item type.
 ITEM_TYPES_LIMIT = 2**10
+
+#: Bound on the magnitude of every integer in an instance document, so
+#: documents stay within signed 64-bit range; arithmetic is exact regardless.
+MONEY_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -275,34 +282,8 @@ def _choice_of(market: Market, alloc: Allocation, buyer_id: BuyerId) -> VendorTu
     return choice
 
 
-def cell_demand(
-    market: Market, cells: Iterable[tuple[VendorTuple, int]]
-) -> dict[VendorId, tuple[int, ...]]:
-    """Per-vendor counts of buyers purchasing each item type from it, where
-    each ``(choice, n)`` pair stands for ``n`` buyers purchasing ``choice``."""
-    counts: dict[VendorId, list[int]] = {
-        v.id: [0] * market.c for v in market.vendors
-    }
-    try:
-        for choice, n in cells:
-            for k, vid in enumerate(choice):
-                counts[vid][k] += n
-    except KeyError as exc:
-        raise ValueError(f"unknown vendor id {exc.args[0]!r} in allocation") from None
-    return {vid: tuple(c) for vid, c in counts.items()}
-
-
-def demand_vectors(
-    market: Market, alloc: Allocation
-) -> dict[VendorId, tuple[int, ...]]:
-    """Per-vendor counts of buyers purchasing each item type from it."""
-    return cell_demand(
-        market, ((_choice_of(market, alloc, b), 1) for b in market.buyer_ids)
-    )
-
-
 def triggered_tiers(
-    market: Market, demand: Mapping[VendorId, tuple[int, ...]]
+    market: Market, demand: Mapping[VendorId, Sequence[int]]
 ) -> dict[VendorId, int]:
     """Highest met tier index per vendor (1-based; 0 means no discount)."""
     result: dict[VendorId, int] = {}
@@ -314,10 +295,6 @@ def triggered_tiers(
                 best = i
         result[vendor.id] = best
     return result
-
-
-def triggered(market: Market, alloc: Allocation) -> dict[VendorId, int]:
-    return triggered_tiers(market, demand_vectors(market, alloc))
 
 
 def market_price_of_choice(
@@ -339,19 +316,30 @@ def market_price_of_choice(
     return base
 
 
+def cell_prices(
+    market: Market, counts: Mapping[VendorTuple, int]
+) -> dict[VendorTuple, Money]:
+    """Market price of each choice in ``counts``, where ``counts[choice]``
+    buyers take ``choice``.  Per-vendor demand is folded once, and every
+    choice is priced at the tiers that demand triggers; a choice of the wrong
+    arity raises ``ValueError`` there."""
+    demand = {v.id: [0] * market.c for v in market.vendors}
+    try:
+        for choice, n in counts.items():
+            for k, vid in zip(range(market.c), choice):
+                demand[vid][k] += n
+    except KeyError as exc:
+        raise ValueError(f"unknown vendor id {exc.args[0]!r} in allocation") from None
+    trig = triggered_tiers(market, demand)
+    return {choice: market_price_of_choice(market, choice, trig) for choice in counts}
+
+
 def market_prices(market: Market, alloc: Allocation) -> dict[BuyerId, Money]:
-    """Each buyer's market price under ``alloc``, from the tiers that the
-    whole allocation's demand triggers.  Each distinct choice is priced once."""
-    trig = triggered(market, alloc)
-    priced: dict[VendorTuple, Money] = {}
-    prices: dict[BuyerId, Money] = {}
-    for b in market.buyer_ids:
-        choice = alloc.choice[b]
-        price = priced.get(choice)
-        if price is None:
-            price = priced[choice] = market_price_of_choice(market, choice, trig)
-        prices[b] = price
-    return prices
+    """Each buyer's market price under ``alloc``: the allocation is priced as
+    the multiset of its choices."""
+    counts = Counter(_choice_of(market, alloc, b) for b in market.buyer_ids)
+    price = cell_prices(market, counts)
+    return {b: price[alloc.choice[b]] for b in market.buyer_ids}
 
 
 def best_alternative(market: Market, buyer_id: BuyerId) -> tuple[VendorTuple, Money]:

@@ -40,14 +40,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .flow import Edge, FlowNetwork, min_cost_max_flow
-from .model import (
-    Allocation,
-    Market,
-    Money,
-    cell_demand,
-    market_price_of_choice,
-    triggered_tiers,
-)
+from .model import Allocation, Market, Money, cell_prices
 
 DEFAULT_PARTITION_CAP = 5_000_000
 DEFAULT_ALLOCATION_CAP = 1_000_000
@@ -167,12 +160,12 @@ def total_price(market: Market, counts: tuple[int, ...]) -> Money:
     """Total buyer payments implied by per-cell counts alone.
 
     ``counts`` is aligned with ``market.vendor_tuples``.  Every assignment
-    matching the counts produces the same demand vectors, hence the same
-    triggered discounts and the same per-cell prices.
+    matching the counts is the same multiset of choices, so ``cell_prices``
+    gives it the same per-cell prices.
     """
-    cells = [(choice, n) for choice, n in zip(market.vendor_tuples, counts) if n]
-    trig = triggered_tiers(market, cell_demand(market, cells))
-    return sum(n * market_price_of_choice(market, choice, trig) for choice, n in cells)
+    cells = {choice: n for choice, n in zip(market.vendor_tuples, counts) if n}
+    price = cell_prices(market, cells)
+    return sum(n * price[choice] for choice, n in cells.items())
 
 
 @dataclass(frozen=True, eq=False)

@@ -133,7 +133,7 @@ def check_group_condition(gp: GroupPartition, gt: GroupTransfers) -> CheckResult
     witnesses = []
     budget_use: dict[str, Money] = {}
     received: dict[VendorTuple, Money] = dict.fromkeys(gp.negative_totals, 0)
-    for (s, x), amount in gt.entries.items():
+    for (s, x), amount in sorted(gt.entries.items()):
         if s in x:
             budget_use[s] = budget_use.get(s, 0) + amount
             received[x] = received.get(x, 0) + amount

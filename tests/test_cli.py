@@ -250,6 +250,28 @@ def test_item_types_over_the_limit_exit_2(capsys, tmp_path):
     assert_clean(err)
 
 
+def test_gen_refuses_amounts_past_64_bits(capsys, tmp_path):
+    # a bundle price reaches items * max_value - 1, which every document
+    # reader bounds below 2^63
+    too_large = (
+        ["--vendors", "2", "--items", "1", "--seed", "3", "--max-value", str(2**64)],
+        ["--vendors", "1", "--items", "2", "--seed", "1", "--max-value", str(2**63 - 1)],
+        ["--vendors", "1", "--items", "2", "--seed", "2", "--max-value", str(2**63 - 1)],
+    )
+    for argv in too_large:
+        code, out, err = run(capsys, ["gen", "--buyers", "3"] + argv)
+        assert (code, out) == (2, ""), argv
+        assert f"items * max_value < {2**63}" in err
+        assert_clean(err)
+    market = str(tmp_path / "wide.json")
+    for seed in ("1", "2", "3"):
+        argv = ["gen", "--buyers", "3", "--vendors", "1", "--items", "2", "--seed", seed]
+        assert main(argv + ["--max-value", str(2**62 - 1), "--out", market]) == 0
+        code, out, err = run(capsys, ["solve", market])
+        assert (code, err) == (0, ""), seed
+        assert json.loads(out)["certificate"]["all_passed"] is True
+
+
 def test_solve_unstabilizable_exit(capsys, fix_e1_path, monkeypatch):
     import gbb.cli as cli
     from gbb.model import Allocation
@@ -404,6 +426,13 @@ def test_verify_output_does_not_depend_on_document_order(
         tampered["buyers"]["b1"].update(delta="3", final_price="7")
         tampered["buyers"]["b3"].update(delta="-3", final_price="4")
         cases.append((tampered, 1, 4))
+        # two cross transfers, whose witnesses print in sorted order
+        crossed = json.loads(json.dumps(doc))
+        crossed["group_transfers"] += [
+            {"vendor": "s2", "group": ["s1"], "amount": 1},
+            {"vendor": "s1", "group": ["s2"], "amount": 2},
+        ]
+        cases.append((crossed, 1, 2))
     sol = tmp_path / "sol.json"
     for original, exit_code, witnesses in cases:
         sol.write_text(json.dumps(original))
@@ -478,13 +507,13 @@ def test_solve_derives_the_tiers_twice_and_verify_once(
     import gbb.model
 
     calls = []
-    triggered = gbb.model.triggered
+    triggered_tiers = gbb.model.triggered_tiers
 
-    def counting(market, alloc):
-        calls.append(alloc)
-        return triggered(market, alloc)
+    def counting(market, demand):
+        calls.append(demand)
+        return triggered_tiers(market, demand)
 
-    monkeypatch.setattr(gbb.model, "triggered", counting)
+    monkeypatch.setattr(gbb.model, "triggered_tiers", counting)
     code, _, _ = run(capsys, ["solve", fix_e2_path])
     assert code == 0
     assert len(calls) == 2

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,11 +17,10 @@ from gbb.model import (
     Vendor,
     all_surpluses,
     best_alternative,
-    demand_vectors,
+    cell_prices,
     group_partition,
     market_price_of_choice,
     market_prices,
-    triggered,
     triggered_tiers,
     validate_market,
 )
@@ -116,35 +116,89 @@ def test_validate_rejects_threshold_regressions():
 
 
 def test_demand_vectors(fix_e1, fix_e2):
-    assert demand_vectors(fix_e1, MU_A) == {
-        "s1": (2, 2),
-        "s2": (0, 0),
-        NULL_VENDOR: (0, 0),
+    # MU_A's demand (2, 2) meets s1's tier (2, 2); MU_STAR's (3, 2) does too
+    assert cell_prices(fix_e1, {("s1", "s1"): 2}) == {("s1", "s1"): 5}
+    assert cell_prices(fix_e1, {("s1", "s1"): 1}) == {("s1", "s1"): 8}
+    assert cell_prices(fix_e2, {("s1", "s1"): 2, ("s1", "s2"): 1}) == {
+        ("s1", "s1"): 4,
+        ("s1", "s2"): 7,
     }
-    assert demand_vectors(fix_e2, MU_STAR) == {
-        "s1": (3, 2),
-        "s2": (0, 1),
-        NULL_VENDOR: (0, 0),
-    }
+    assert cell_prices(fix_e2, {("s1", "s1"): 1, ("s1", "s2"): 1})[("s1", "s1")] == 8
 
 
 def test_demand_vectors_empty_market():
     market = Market.build(c=2, vendors=[Vendor("s1", (1, 1))], buyers=[])
-    assert demand_vectors(market, Allocation({})) == {
-        "s1": (0, 0),
-        NULL_VENDOR: (0, 0),
-    }
+    assert market_prices(market, Allocation({})) == {}
+    assert cell_prices(market, {}) == {}
 
 
 def test_demand_vectors_rejects_unknown_vendor(fix_e1):
     alloc = Allocation({"b1": ("s1", "zz"), "b2": ("s1", "s1")})
-    with pytest.raises(ValueError, match="unknown vendor"):
-        demand_vectors(fix_e1, alloc)
+    with pytest.raises(ValueError, match="unknown vendor id 'zz' in allocation"):
+        market_prices(fix_e1, alloc)
+    # the first unknown vendor in buyer order is named
+    alloc = Allocation({"b1": ("s1", "yy"), "b2": ("xx", "s1")})
+    with pytest.raises(ValueError, match="unknown vendor id 'yy' in allocation"):
+        market_prices(fix_e1, alloc)
+
+
+def test_market_prices_check_every_choice_before_pricing(fix_e1):
+    # a missing buyer or a wrong arity wins over an earlier unknown vendor
+    with pytest.raises(ValueError, match="allocation is missing buyer 'b2'"):
+        market_prices(fix_e1, Allocation({"b1": ("s1", "zz")}))
+    with pytest.raises(ValueError, match=r"buyer 'b1': choice arity 1 != 2"):
+        market_prices(fix_e1, Allocation({"b1": ("zz",), "b2": ("s1", "s1")}))
+
+
+def _one_tier_market(thresholds):
+    return Market.build(
+        c=2, vendors=[Vendor("s1", (4, 4), (DiscountTier(thresholds, 5),))], buyers=[]
+    )
+
+
+def test_cell_prices_add_counts_of_different_choices():
+    market = _one_tier_market((2, 1))
+    bundle, half = ("s1", "s1"), ("s1", NULL_VENDOR)
+    # (s1, s1) and (s1, null) together bring s1 demand (2, 1)
+    assert cell_prices(market, {bundle: 1, half: 1}) == {bundle: 5, half: 4}
+    assert cell_prices(market, {bundle: 1}) == {bundle: 8}
+    assert cell_prices(market, {bundle: 1, half: 0}) == {bundle: 8, half: 4}
+
+
+def test_cell_prices_of_zero_counts_are_base_prices(fix_e1, fix_e2):
+    for market in (fix_e1, fix_e2, _one_tier_market((1, 1))):
+        cells = market.vendor_tuples
+        assert cell_prices(market, dict.fromkeys(cells, 0)) == {
+            choice: market.base_price(choice) for choice in cells
+        }
+
+
+def test_cell_prices_reject_bad_choices(fix_e1):
+    with pytest.raises(ValueError, match="unknown vendor id 'zz' in allocation"):
+        cell_prices(fix_e1, {("s1", "s1"): 2, ("zz", "s1"): 1})
+    for bad in (("s1",), ("s1", "s1", "s1")):
+        with pytest.raises(ValueError, match=f"has arity {len(bad)}, expected 2"):
+            cell_prices(fix_e1, {("s1", "s1"): 2, bad: 1})
+
+
+def test_cell_prices_take_any_count_mapping(fix_e2):
+    chosen = [("s1", "s1"), ("s1", "s2"), ("s1", "s1"), ("s2", "s2")]
+    counts = Counter(chosen)
+    assert cell_prices(fix_e2, counts) == cell_prices(fix_e2, dict(counts))
+    assert cell_prices(fix_e2, counts) == {
+        ("s1", "s1"): 4,
+        ("s1", "s2"): 7,
+        ("s2", "s2"): 6,
+    }
 
 
 def test_triggered(fix_e1, fix_e2):
-    assert triggered(fix_e1, MU_A) == {"s1": 1, "s2": 0, NULL_VENDOR: 0}
-    assert triggered(fix_e2, MU_STAR)["s1"] == 1
+    assert triggered_tiers(fix_e1, reference_demand_vectors(fix_e1, MU_A)) == {
+        "s1": 1,
+        "s2": 0,
+        NULL_VENDOR: 0,
+    }
+    assert triggered_tiers(fix_e2, reference_demand_vectors(fix_e2, MU_STAR))["s1"] == 1
 
 
 def test_triggered_needs_every_component():
@@ -160,8 +214,8 @@ def test_triggered_needs_every_component():
     )
     alloc = Allocation({"b1": ("s1", "s1"), "b2": ("s1", NULL_VENDOR)})
     # demand (2, 1) misses threshold (2, 2) on the second component
-    assert demand_vectors(market, alloc)["s1"] == (2, 1)
-    assert triggered(market, alloc)["s1"] == 0
+    assert reference_demand_vectors(market, alloc)["s1"] == (2, 1)
+    assert market_prices(market, alloc) == {"b1": 8, "b2": 4}
 
 
 def test_buyer_market_price(fix_e1, fix_e2):
@@ -225,7 +279,7 @@ def test_surplus(fix_e1, fix_e2):
 def test_surplus_zero_when_choice_is_best_alternative(fix_e1):
     alloc = Allocation({"b1": ("s1", "s1"), "b2": ("s2", "s2")})
     # no discount triggers, so b2 sits exactly at her best alternative
-    assert triggered(fix_e1, alloc)["s1"] == 0
+    assert market_prices(fix_e1, alloc)["b1"] == 8
     assert all_surpluses(fix_e1, alloc)["b2"] == 0
 
 
@@ -281,7 +335,7 @@ def test_nonbundle_buyers_never_have_positive_surplus():
             max_value=15,
         )
         alloc = _random_allocation(rng, market)
-        trig = triggered(market, alloc)
+        trig = triggered_tiers(market, reference_demand_vectors(market, alloc))
         sigma = all_surpluses(market, alloc)
         for buyer in market.buyers:
             choice = alloc.choice[buyer.id]
@@ -294,13 +348,15 @@ def test_nonbundle_buyers_never_have_positive_surplus():
 
 
 def test_demand_monotone_in_group_membership(fix_e1):
-    before = demand_vectors(fix_e1, Allocation({"b1": ("s1", "s1"), "b2": ("s2", "s2")}))
-    after = demand_vectors(fix_e1, MU_A)
+    before = reference_demand_vectors(
+        fix_e1, Allocation({"b1": ("s1", "s1"), "b2": ("s2", "s2")})
+    )
+    after = reference_demand_vectors(fix_e1, MU_A)
     assert all(a >= b for a, b in zip(after["s1"], before["s1"]))
 
 
 def test_market_price_of_choice_rejects_unknown_vendor(fix_e1):
-    trig = triggered(fix_e1, MU_A)
+    trig = triggered_tiers(fix_e1, reference_demand_vectors(fix_e1, MU_A))
     assert market_price_of_choice(fix_e1, ("s1", "s2"), trig) == 7
     with pytest.raises(ValueError, match="unknown vendor id 'zz'"):
         market_price_of_choice(fix_e1, ("s1", "zz"), trig)
@@ -448,12 +504,13 @@ def test_group_partition_derives_the_tiers_once(fix_e2, monkeypatch):
     import gbb.model
 
     calls = []
+    triggered_tiers = gbb.model.triggered_tiers
 
-    def counting(market, alloc):
-        calls.append(alloc)
-        return triggered(market, alloc)
+    def counting(market, demand):
+        calls.append(demand)
+        return triggered_tiers(market, demand)
 
-    monkeypatch.setattr(gbb.model, "triggered", counting)
+    monkeypatch.setattr(gbb.model, "triggered_tiers", counting)
     assert group_partition(fix_e2, MU_STAR).positive_groups == {"s1": ("b1", "b2")}
     assert len(calls) == 1
 

@@ -319,7 +319,8 @@ def test_net_outflows_match_a_fraction_fold():
 
 
 def test_price_vector_final_is_market_price_plus_delta():
-    from gbb.model import market_price_of_choice, market_prices, triggered
+    from gbb.model import market_price_of_choice, market_prices, triggered_tiers
+    from tests.test_model import reference_demand_vectors
 
     rng = random.Random(1202)
     for trial in range(60):
@@ -332,7 +333,7 @@ def test_price_vector_final_is_market_price_plus_delta():
         )
         cells = market.vendor_tuples
         alloc = Allocation({b: rng.choice(cells) for b in market.buyer_ids})
-        trig = triggered(market, alloc)
+        trig = triggered_tiers(market, reference_demand_vectors(market, alloc))
         base = market_prices(market, alloc)
         assert base == {
             b: market_price_of_choice(market, alloc.choice[b], trig)

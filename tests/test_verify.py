@@ -9,7 +9,7 @@ from gbb.model import (
     all_surpluses,
     group_partition,
     market_prices,
-    triggered,
+    triggered_tiers,
 )
 from gbb.swm import solve_swm
 from gbb.transfers import (
@@ -31,6 +31,7 @@ from gbb.verify import (
     check_stable,
     surplus_totals,
 )
+from tests.test_model import reference_demand_vectors
 
 MU_A = Allocation({"b1": ("s1", "s1"), "b2": ("s1", "s1")})
 MU_STAR = Allocation(
@@ -228,7 +229,8 @@ def reference_stable(market, alloc, prices):
 
 def reference_rational_prices(market, alloc, prices):
     sigma = all_surpluses(market, alloc)
-    discount_vendors = {v for v, i in triggered(market, alloc).items() if i > 0}
+    trig = triggered_tiers(market, reference_demand_vectors(market, alloc))
+    discount_vendors = {v for v, i in trig.items() if i > 0}
     for buyer in market.buyers:
         if prices.entries[buyer.id].delta <= 0:
             continue
