@@ -61,7 +61,62 @@ def rational_from_str(text: str) -> Fraction:
 
 
 def to_canonical_json(data: Any) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(data, indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    for every JSON value with ``str`` keys.
+
+    ``indent`` makes ``json.dumps`` run the pure-Python encoder, whose
+    closures leave a reference cycle behind on every call; this emitter
+    makes no closures and quotes strings with the C quoting routine.
+    """
+    parts: list[str] = []
+    _emit_json(data, "\n", parts, json.encoder.encode_basestring_ascii)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _emit_json(value: Any, newline: str, parts: list[str], quote: Any) -> None:
+    """Append ``value``'s text to ``parts``; ``newline`` is the line break
+    and indentation of the line it starts on."""
+    if isinstance(value, str):
+        parts.append(quote(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        words = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+        parts.append(words.get(text, text))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            parts.append(separator)
+            _emit_json(item, inner, parts, quote)
+            separator = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            parts.append(separator + quote(key) + ": ")
+            _emit_json(item, inner, parts, quote)
+            separator = "," + inner
+        parts.append(newline + "}")
+    else:
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable"
+        )
 
 
 def _record(data: Any, fields: tuple[str, ...], where: str) -> list:

@@ -7,13 +7,19 @@ The solvers are deterministic by construction: augmenting paths are
 shortest-first with ties resolved by edge insertion order, so identical
 networks always produce identical flows (and identical downstream
 transfer matrices and allocations).
+
+The one successive-shortest-path loop is ``_Residual.shortest_paths``; it
+leaves its final node potentials on the residual graph, where a caller can
+read them as LP duals.  ``_Residual.reset`` restores the network's
+capacities with some edges changed, so a caller that solves many networks
+differing only in a few capacities builds the residual graph once.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -64,24 +70,37 @@ class Flow:
 
 
 class _Residual:
-    """Adjacency-list residual graph; twin edge of 2i is 2i+1."""
+    """Adjacency-list residual graph; twin edge of 2i is 2i+1.
+
+    It keeps the network's capacities, so ``reset`` can route a new flow
+    on the same graph with some edge capacities changed.
+    """
 
     def __init__(self, net: FlowNetwork) -> None:
         self.net = net
         n = net.node_count
-        self.head: list[int] = []
-        self.cap: list[int] = []
-        self.cost: list[int] = []
+        edges = net.edges
+        self.head = [v for e in edges for v in (e.head, e.tail)]
+        self.cap = [c for e in edges for c in (e.capacity, 0)]
+        self.cost = [c for e in edges for c in (e.cost, -e.cost)]
         self.adj: list[list[int]] = [[] for _ in range(n)]
-        for edge in net.edges:
-            self.adj[edge.tail].append(len(self.head))
-            self.head.append(edge.head)
-            self.cap.append(edge.capacity)
-            self.cost.append(edge.cost)
-            self.adj[edge.head].append(len(self.head))
-            self.head.append(edge.tail)
-            self.cap.append(0)
-            self.cost.append(-edge.cost)
+        for i, edge in enumerate(edges):
+            self.adj[edge.tail].append(2 * i)
+            self.adj[edge.head].append(2 * i + 1)
+        self.initial = list(self.cap)
+        # An integer above every Dijkstra candidate: with C the largest
+        # cost, a potential lies in [0, (n - 1)C] and a reduced distance in
+        # [0, (n - 1)C], so a candidate is at most (2n - 1)C.
+        self.unreachable = 2 * n * max([1, *self.cost]) + 1
+        self.pot = [0] * n
+
+    def reset(self, capacities: Iterable[tuple[int, int]]) -> None:
+        """Drop every flow and give each ``(edge index, capacity)`` pair's
+        edge that capacity; the other edges get the network's own."""
+        cap = self.cap
+        cap[:] = self.initial
+        for i, capacity in capacities:
+            cap[2 * i] = capacity
 
     def augment(self, parent_edge: list[int]) -> int:
         """Push the bottleneck along the path in ``parent_edge``; return it."""
@@ -100,6 +119,51 @@ class _Residual:
             self.cap[eid ^ 1] += bottleneck
             v = self.head[eid ^ 1]
         return bottleneck
+
+    def shortest_paths(self) -> tuple[int, int]:
+        """Route a minimum-cost maximum flow by successive shortest paths;
+        return its value and cost.
+
+        Edge costs are nonnegative (``FlowNetwork`` rejects others), so the
+        node potentials start at zero and each round's Dijkstra distances
+        keep every reduced cost nonnegative.  The source's potential stays
+        0, so after a round the sink's potential is the cost of the path
+        just augmented.  The final potentials stay on ``pot``.
+        """
+        heappush, heappop = heapq.heappush, heapq.heappop
+        adj, head, cap, cost = self.adj, self.head, self.cap, self.cost
+        n = len(adj)
+        source, sink = self.net.source, self.net.sink
+        unreachable = self.unreachable
+        pot = [0] * n
+        value = total = 0
+        while True:
+            dist = [unreachable] * n
+            dist[source] = 0
+            parent_edge = [-1] * n
+            heap = [(0, source)]
+            while heap:
+                d, u = heappop(heap)
+                if d > dist[u]:
+                    continue
+                base = d + pot[u]
+                for eid in adj[u]:
+                    if cap[eid] <= 0:
+                        continue
+                    v = head[eid]
+                    nd = base + cost[eid] - pot[v]
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        parent_edge[v] = eid
+                        heappush(heap, (nd, v))
+            if dist[sink] == unreachable:
+                break
+            pot = [p + d if d < unreachable else p for p, d in zip(pot, dist)]
+            pushed = self.augment(parent_edge)
+            value += pushed
+            total += pushed * pot[sink]
+        self.pot = pot
+        return value, total
 
     def extract(self, value: int) -> Flow:
         flows = tuple(self.cap[2 * i + 1] for i in range(len(self.net.edges)))
@@ -132,45 +196,7 @@ def max_flow(net: FlowNetwork) -> Flow:
 
 
 def min_cost_max_flow(net: FlowNetwork) -> Flow:
-    """Minimum-cost maximum integral flow via successive shortest paths.
-
-    Edge costs are nonnegative (``FlowNetwork`` rejects others), so the
-    node potentials start at zero and each round's Dijkstra distances keep
-    every reduced cost nonnegative.
-    """
+    """Minimum-cost maximum integral flow via successive shortest paths."""
     res = _Residual(net)
-    n = net.node_count
-    source, sink = net.source, net.sink
-
-    # ``unreachable`` is an integer above every Dijkstra candidate: with C
-    # the largest cost, a potential lies in [0, (n - 1)C] and a reduced
-    # distance in [0, (n - 1)C], so a candidate is at most (2n - 1)C.
-    unreachable = 2 * n * max([1] + [edge.cost for edge in net.edges]) + 1
-    pot = [0] * n
-
-    value = 0
-    while True:
-        dist: list[int] = [unreachable] * n
-        dist[source] = 0
-        parent_edge = [-1] * n
-        heap: list[tuple[int, int]] = [(0, source)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            for eid in res.adj[u]:
-                if res.cap[eid] <= 0:
-                    continue
-                v = res.head[eid]
-                nd = d + res.cost[eid] + pot[u] - pot[v]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    parent_edge[v] = eid
-                    heapq.heappush(heap, (nd, v))
-        if dist[sink] == unreachable:
-            break
-        for v in range(n):
-            if dist[v] < unreachable:
-                pot[v] += dist[v]
-        value += res.augment(parent_edge)
+    value, _ = res.shortest_paths()
     return res.extract(value)

@@ -4,7 +4,10 @@ The solver conditions on a *partition*: per-cell buyer counts, a tuple
 aligned with ``market.vendor_tuples`` (the cells).  For fixed counts the
 best assignment is a min-cost max-flow on a small bipartite network: with
 N buyers and K cells, source 0, buyer i at ``1 + i``, cell j at
-``1 + N + j`` and the sink at ``N + K + 1``.
+``1 + N + j`` and the sink at ``N + K + 1``.  Only the K cell->sink
+capacities depend on the counts, so the network is compiled once per
+market into a residual graph, and a leaf resets those K capacities and
+routes its flow there.
 
 A depth-first search covers every partition: the first cell's count runs
 down from N, then the search recurses on the remaining cells, so leaves
@@ -12,21 +15,28 @@ come in reverse lexicographic order.  The path carries the base-price sum
 and each tiered vendor's per-item demand, so a leaf's price is that sum
 less, per vendor, its full-bundle count times the discount of the highest
 tier the demand meets; ``total_price`` stays as the reference.  A leaf gets
-its flow only when ``_AssignmentLayout.upper_bound`` minus its price
-reaches the incumbent.  An interior node with cells ``< k`` fixed and ``r``
-buyers left is skipped with its whole subtree when the fixed cells' best
-values net of their lowest possible prices, plus the ``r`` best such
-values over the open cells, fall strictly below the incumbent.  That bound
-is at least every leaf bound below it, so a skipped subtree holds only
-leaves whose flow would be skipped anyway: the flows solved, the welfare
-and the chosen partition are those of pricing every leaf.  The search runs
-in one process, so every bound compares against the best leaf of the whole
-order found so far.
+its flow only when two bounds on its welfare reach the incumbent:
+``_AssignmentLayout.upper_bound`` minus its price, and the LP-dual bound of
+each of the last four flows.  A flow's node potentials give cell
+multipliers ``λ_j``, minus cell j's potential, and by weak duality every
+counts tuple n has value at most ``C(λ) + Σ_j λ_j·n_j`` with
+``C(λ) = Σ_i max_j (v_ij − λ_j)`` over all cells.  An interior node with
+cells ``< k`` fixed and ``r`` buyers left is skipped with its whole subtree
+when the fixed cells' best values net of their lowest possible prices,
+plus the ``r`` best such values over the open cells, fall strictly below
+the incumbent.  Every bound skips only what is strictly below the
+incumbent, so the welfare and the chosen partition are those of solving
+every leaf's flow.  The incumbent holds the welfare and the counts; once
+the search ends, one flow on the winner's own network gives the
+assignment, so ties between equal-value assignments resolve as that flow
+resolves them.  The search runs in one process, so every bound compares
+against the best leaf of the whole order found so far.
 
 ``SwmResult.partitions_evaluated`` counts partitions covered, priced or
 ruled out with their subtree, so it always equals ``partition_count``; it
 is the result's one partition counter.  ``partitions_priced`` counts
-leaves priced, and ``flows_solved`` flows.
+leaves priced, and ``flows_solved`` the leaves whose value a flow gave
+(the winner's flow after the search is not counted).
 A brute-force enumerator over whole allocations serves as the independent
 oracle at desk scale.
 """
@@ -39,7 +49,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from .flow import Edge, FlowNetwork, min_cost_max_flow
+from .flow import Edge, FlowNetwork, _Residual, min_cost_max_flow
 from .model import Allocation, Market, Money, cell_prices
 
 DEFAULT_PARTITION_CAP = 5_000_000
@@ -82,13 +92,19 @@ class _AssignmentLayout:
     Every buyer crosses exactly one such edge, so a flow routing all N
     buyers is worth ``N * ceiling`` less its cost.  Both edge sets are
     built once per market; a partition only appends its tuple->sink edges,
-    whose capacities are the per-tuple counts.  The same valuations back
-    ``upper_bound``.
+    whose capacities are the per-tuple counts.
+
+    The network with every tuple->sink capacity 0 is compiled once into a
+    residual graph: ``value`` resets those K capacities to a partition's
+    counts and routes the flow on it, and ``dual`` reads cell multipliers
+    from the potentials that flow leaves.  ``solve`` builds the partition's
+    own network and flow, for the assignment itself.  The same valuations
+    back ``upper_bound`` and ``dual``.
     """
 
     def __init__(self, market: Market) -> None:
         self.market = market
-        values = [
+        self.values = values = [
             [buyer.valuation(choice) for choice in market.vendor_tuples]
             for buyer in market.buyers
         ]
@@ -104,7 +120,9 @@ class _AssignmentLayout:
                 edges.append(
                     Edge(1 + i, slot, 1, self.ceiling - value, (buyer.id, choice))
                 )
-        self.fixed = FlowNetwork(self.sink + 1, 0, self.sink, tuple(edges))
+        self.edges = tuple(edges)
+        self.sink_edges = range(len(edges), len(edges) + k)
+        self.residual = _Residual(self.network((0,) * k))
         # Per buyer, (cell, value) pairs from best to worst cell; per cell j,
         # top[j][m] is the sum of the m largest values in column j.
         self.ranked = [sorted(enumerate(row), key=lambda jv: -jv[1]) for row in values]
@@ -140,20 +158,40 @@ class _AssignmentLayout:
         sink_edges = tuple(
             Edge(slot, self.sink, n) for slot, n in zip(self.tuple_nodes, counts)
         )
-        return FlowNetwork(
-            self.fixed.node_count, 0, self.sink, self.fixed.edges + sink_edges
-        )
+        return FlowNetwork(self.sink + 1, 0, self.sink, self.edges + sink_edges)
+
+    def _valued(self, routed: int, cost: int) -> Money:
+        n_buyers = len(self.values)
+        if routed != n_buyers:
+            raise RuntimeError(
+                f"assignment flow routed {routed} of {n_buyers} buyers"
+            )
+        return n_buyers * self.ceiling - cost
+
+    def value(self, counts: tuple[int, ...]) -> Money:
+        """Total valuation of the best assignment matching counts, routed
+        on the compiled residual graph."""
+        res = self.residual
+        res.reset(zip(self.sink_edges, counts))
+        return self._valued(*res.shortest_paths())
+
+    def dual(self) -> tuple[Money, list[Money]]:
+        """``(C, λ)`` from the potentials of the last ``value`` flow.
+
+        ``λ_j`` is minus cell j's potential and ``C = Σ_i max_j (v_ij −
+        λ_j)`` over every cell.  For any λ and any counts tuple n, weak
+        duality gives ``value(n) ≤ C + Σ_j λ_j·n_j``; with the potentials
+        of n's own flow the two sides are equal.
+        """
+        pot = self.residual.pot[self.tuple_nodes.start : self.sink]
+        total = sum(max([v + p for v, p in zip(row, pot)]) for row in self.values)
+        return total, [-p for p in pot]
 
     def solve(self, counts: tuple[int, ...]) -> tuple[dict, Money]:
         """Assignment and total valuation for one partition's counts."""
         flow = min_cost_max_flow(self.network(counts))
-        n_buyers = len(self.market.buyers)
-        if flow.value != n_buyers:
-            raise RuntimeError(
-                f"assignment flow routed {flow.value} of {n_buyers} buyers"
-            )
         choice = {tag[0]: tag[1] for tag, f in flow.tagged() if f > 0}
-        return choice, n_buyers * self.ceiling - flow.cost
+        return choice, self._valued(flow.value, flow.cost)
 
 
 def total_price(market: Market, counts: tuple[int, ...]) -> Money:
@@ -188,10 +226,12 @@ def solve_swm(
     A depth-first search covers the count tuples in reverse lexicographic
     order, prices each leaf it reaches from the demand carried down its
     path and skips every subtree whose welfare bound is below the
-    incumbent; only leaves whose own bound reaches the incumbent get a
+    incumbent; only leaves whose own bounds reach the incumbent get a
     min-cost flow.  Equal-welfare ties resolve to the lexicographically
-    smallest counts tuple, which the allocation determines; the assignment
-    is deterministic, so results are reproducible run to run.
+    smallest counts tuple, which the allocation determines; the winner's
+    assignment comes from one flow on its own network after the search, so
+    results are reproducible run to run.  Raises RuntimeError if that flow
+    values the winner differently from the search.
     ``progress(covered, total)`` fires once per 1 000 partitions covered.
 
     The search runs in one process.  Raises BudgetExceeded, before any
@@ -219,7 +259,13 @@ def solve_swm(
 
     search = _PartitionSearch(market)
     search.run(progress)
-    welfare, choice = search.best
+    welfare, counts, value = search.best
+    choice, cold = search.layout.solve(counts)
+    if cold != value:
+        raise RuntimeError(
+            f"partition {counts} is worth {cold} in its own flow but {value} "
+            "in the search"
+        )
     return SwmResult(
         allocation=Allocation(choice=choice),
         social_welfare=welfare,
@@ -290,6 +336,8 @@ class _PartitionSearch:
             for left in range(1, len(cells) + 1)
         ]
         self.best: tuple | None = None
+        # The (C, λ) pairs of the last four flows, newest first.
+        self.duals: list[tuple[Money, list[Money]]] = []
         self.flows = 0
         self.priced = 0
 
@@ -360,23 +408,31 @@ class _PartitionSearch:
             advance(1)
 
     def _leaf(self, counts: list[int], price: Money) -> None:
-        """Price-known leaf: solve its flow unless its bound rules it out."""
+        """Price-known leaf: value its flow unless a bound rules it out."""
         self.priced += 1
         best = self.best
-        # Beating the incumbent needs an assignment worth ``needed``; the
-        # flow is skipped only when the bound is strictly below it, so an
-        # equal-welfare partition still reaches the tie rule below.
-        needed = None if best is None else best[0] + price
+        layout = self.layout
         key = tuple(counts)
-        if needed is None or self.layout.upper_bound(key, needed) >= needed:
-            choice, value = self.layout.solve(key)
-            self.flows += 1
-            welfare = value - price
-            # Leaves come in lexicographically descending order, so
-            # replacing the incumbent on equal welfare leaves the
-            # lexicographically smallest partition as the winner.
-            if best is None or welfare >= best[0]:
-                self.best = (welfare, choice)
+        if best is not None:
+            # Beating the incumbent needs an assignment worth ``needed``; the
+            # flow is skipped only when a bound is strictly below it, so an
+            # equal-welfare partition still reaches the tie rule below.
+            needed = best[0] + price
+            if layout.upper_bound(key, needed) < needed:
+                return
+            for total, lam in self.duals:
+                if total + sum([x * n for x, n in zip(lam, counts)]) < needed:
+                    return
+        value = layout.value(key)
+        self.flows += 1
+        self.duals.insert(0, layout.dual())
+        del self.duals[4:]
+        welfare = value - price
+        # Leaves come in lexicographically descending order, so replacing
+        # the incumbent on equal welfare leaves the lexicographically
+        # smallest partition as the winner.
+        if best is None or welfare >= best[0]:
+            self.best = (welfare, key, value)
 
 
 def brute_force_swm(

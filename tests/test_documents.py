@@ -346,6 +346,20 @@ def test_golden_solutions_round_trip_byte_for_byte(name):
         assert to_canonical_json(solution_to_dict(load_solution(path))) == fh.read()
 
 
+def test_canonical_json_leaves_no_reference_cycles():
+    import gc
+
+    doc = solution_to_dict(load_solution(data_path("fix_e2.solve.json")))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            to_canonical_json(doc)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize(
     "kind, path, message",
     [

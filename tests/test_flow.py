@@ -1,10 +1,12 @@
 """Flow engine: determinism, optimality against brute-force oracles."""
 
+import heapq
 import itertools
 import random
 
 import pytest
 
+import gbb.flow
 from gbb.flow import Edge, FlowNetwork, max_flow, min_cost_max_flow
 
 
@@ -132,6 +134,79 @@ def reference_min_cost_max_flow(net):
         value += push
         total += push * dist[net.sink]
     return value, total
+
+
+def reference_ssp_edge_flows(net):
+    """Oracle: the edge flows of successive shortest paths with Dijkstra on
+    reduced costs, ties broken by edge order, written out as one function.
+
+    This is the solver's loop as it stood before it moved into
+    ``_Residual.shortest_paths``; the solver must keep its edge flows.
+    """
+    n = net.node_count
+    head, cap, cost = [], [], []
+    adj = [[] for _ in range(n)]
+    for e in net.edges:
+        adj[e.tail].append(len(head))
+        head.append(e.head)
+        cap.append(e.capacity)
+        cost.append(e.cost)
+        adj[e.head].append(len(head))
+        head.append(e.tail)
+        cap.append(0)
+        cost.append(-e.cost)
+    unreachable = 2 * n * max([1] + [e.cost for e in net.edges]) + 1
+    pot = [0] * n
+    while True:
+        dist = [unreachable] * n
+        dist[net.source] = 0
+        parent = [-1] * n
+        queue = [(0, net.source)]
+        while queue:
+            d, u = heapq.heappop(queue)
+            if d > dist[u]:
+                continue
+            for eid in adj[u]:
+                if cap[eid] <= 0:
+                    continue
+                v = head[eid]
+                nd = d + cost[eid] + pot[u] - pot[v]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    parent[v] = eid
+                    heapq.heappush(queue, (nd, v))
+        if dist[net.sink] == unreachable:
+            break
+        for v in range(n):
+            if dist[v] < unreachable:
+                pot[v] += dist[v]
+        path = []
+        v = net.sink
+        while v != net.source:
+            path.append(parent[v])
+            v = head[parent[v] ^ 1]
+        push = min(cap[eid] for eid in path)
+        for eid in path:
+            cap[eid] -= push
+            cap[eid ^ 1] += push
+    return tuple(cap[2 * i + 1] for i in range(len(net.edges)))
+
+
+@pytest.fixture(autouse=True)
+def edge_flows_match_the_reference(monkeypatch):
+    """Every ``min_cost_max_flow`` call in this module, on every network
+    its tests build, must return ``reference_ssp_edge_flows``'s flows."""
+    solver = gbb.flow.min_cost_max_flow
+    checked = []
+
+    def checking(net):
+        flow = solver(net)
+        assert flow.edge_flows == reference_ssp_edge_flows(net)
+        checked.append(net)
+        return flow
+
+    monkeypatch.setitem(globals(), "min_cost_max_flow", checking)
+    return checked
 
 
 def random_dag_network(rng, max_nodes=12):
@@ -332,3 +407,11 @@ def test_dijkstra_pops_nondecreasing_distances_within_a_round(monkeypatch):
                 last = d
             networks += 1
     assert networks == 1626
+
+
+def test_min_cost_flows_in_this_module_are_checked_against_the_reference(
+    edge_flows_match_the_reference,
+):
+    net = net_from_edges(3, 0, 2, [(0, 1, 2, 1), (1, 2, 2, 1), (0, 2, 1, 5)])
+    assert min_cost_max_flow(net).edge_flows == (2, 2, 1)
+    assert edge_flows_match_the_reference == [net]

@@ -20,7 +20,8 @@ from gbb.model import (  # noqa: E402
     NULL_VENDOR,
     group_partition,
 )
-from gbb.swm import brute_force_swm, solve_swm  # noqa: E402
+from gbb.documents import to_canonical_json  # noqa: E402
+from gbb.swm import _PartitionSearch, brute_force_swm, solve_swm  # noqa: E402
 from gbb.transfers import (  # noqa: E402
     fair_buyer_transfers,
     prices_from_transfers,
@@ -34,6 +35,7 @@ from tests.test_model import (  # noqa: E402
     reference_surplus,
     reference_utility,
 )
+from tests.test_swm import enumerate_partitions  # noqa: E402
 
 
 @st.composite
@@ -59,6 +61,40 @@ def test_solve_swm_matches_brute_force(market):
     res = solve_swm(market)
     assert res.social_welfare == brute_force_swm(market)[1]
     assert res.flows_solved <= res.partitions_evaluated
+
+
+class _DualRecordingSearch(_PartitionSearch):
+    """Records, per flowed leaf, its counts and the ``(C, λ)`` pair its
+    flow added to the pairs the search keeps."""
+
+    def __init__(self, market):
+        super().__init__(market)
+        self.kept = []
+
+    def _leaf(self, counts, price):
+        flows = self.flows
+        super()._leaf(counts, price)
+        if self.flows > flows:
+            self.kept.append((tuple(counts), self.duals[0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_markets())
+def test_every_kept_dual_bounds_every_partition(market):
+    search = _DualRecordingSearch(market)
+    search.run()
+    assert len(search.kept) == search.flows
+    layout = search.layout
+    values = {
+        counts: layout.solve(counts)[1]
+        for counts in enumerate_partitions(len(market.buyers), market.cell_count)
+    }
+    for flowed, (total, lam) in search.kept:
+        # Weak duality for every partition, with equality at the leaf whose
+        # flow left the potentials.
+        for counts, value in values.items():
+            assert total + sum(x * n for x, n in zip(lam, counts)) >= value
+        assert total + sum(x * n for x, n in zip(lam, flowed)) == values[flowed]
 
 
 @settings(max_examples=300, deadline=None)
@@ -281,3 +317,28 @@ def test_instance_documents_end_in_a_documented_exit(tmp_path_factory, doc):
         code, err = _run(argv)
         assert code in allowed, (argv[0], code, err)
         assert "Traceback" not in err and "internal error" not in err, err
+
+
+class _Count(int):
+    """An ``int`` subclass: ``json`` writes it with ``int.__repr__``."""
+
+
+canonical_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers().map(_Count)
+    | st.floats()
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(canonical_values)
+def test_canonical_json_is_json_dumps_with_indent_and_sorted_keys(value):
+    expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
+    assert to_canonical_json(value) == expected

@@ -422,3 +422,139 @@ def test_search_leaf_price_is_total_price_on_every_composition():
             assert price == total_price(market, counts)
         checked += 1
     assert tier_counts == {0, 1, 2}
+
+
+def _seeded_markets():
+    """The 24 markets of ``test_dijkstra_pops_nondecreasing_distances_within_a_round``."""
+    return [
+        generate_instance(
+            buyers=2 + seed % 3, vendors=1 + seed % 2, items=1 + seed // 12, seed=seed
+        )
+        for seed in range(24)
+    ]
+
+
+def _tie_heavy_market(n):
+    """One vendor at base price 0 and ``n`` valuation-free buyers: every
+    partition has welfare 0, so every leaf ties the incumbent."""
+    return Market.build(
+        c=1, vendors=[Vendor("s1", (0,))], buyers=[Buyer(f"b{i}", {}) for i in range(n)]
+    )
+
+
+def _tie_prone_markets(seed, count):
+    """Random small markets with value ranges small enough for many ties."""
+    rng = random.Random(seed)
+    markets = []
+    while len(markets) < count:
+        n, m, c = rng.randint(1, 6), rng.randint(1, 3), rng.randint(1, 2)
+        if partition_count(n, (m + 1) ** c) > 3000:
+            continue
+        markets.append(
+            generate_instance(
+                buyers=n,
+                vendors=m,
+                items=c,
+                seed=rng.randrange(10**6),
+                max_value=rng.choice((2, 3, 6, 20)),
+            )
+        )
+    return markets
+
+
+def test_one_cold_flow_per_solve(monkeypatch):
+    import gbb.swm
+
+    calls = []
+    solver = gbb.swm.min_cost_max_flow
+
+    def counting(net):
+        calls.append(net)
+        return solver(net)
+
+    monkeypatch.setattr(gbb.swm, "min_cost_max_flow", counting)
+    empty = Market.build(c=2, vendors=[Vendor("s1", (2, 2))], buyers=[])
+    tie_heavy = _tie_heavy_market(30)
+    for market in [empty, tie_heavy] + _seeded_markets():
+        calls.clear()
+        res = solve_swm(market)
+        assert len(calls) == 1
+    # Every leaf of the tie-heavy market ties, so every one gets a flow, and
+    # the cold solve after the search is not counted among them.
+    res = solve_swm(tie_heavy)
+    assert res.partitions_priced == res.flows_solved == 31
+
+
+def test_compiled_leaf_values_equal_cold_values(monkeypatch):
+    valued = []
+    compiled = _AssignmentLayout.value
+
+    def recording(self, counts):
+        value = compiled(self, counts)
+        valued.append((counts, value))
+        return value
+
+    monkeypatch.setattr(_AssignmentLayout, "value", recording)
+    markets = _seeded_markets() + _tie_prone_markets(7, 40)
+    for market in markets:
+        valued.clear()
+        res = solve_swm(market)
+        assert len(valued) == res.flows_solved
+        layout = _AssignmentLayout(market)
+        for counts, value in valued:
+            assert value == layout.solve(counts)[1]
+    # One layout's residual reset from partition to partition, in search
+    # order, against a fresh flow for each.
+    for market in markets[:24]:
+        layout = _AssignmentLayout(market)
+        for counts in enumerate_partitions(len(market.buyers), market.cell_count):
+            assert layout.value(counts) == layout.solve(counts)[1]
+
+
+class _DualSkipSearch(_PartitionSearch):
+    """Records each leaf that the dual bound skipped, with its price and
+    the incumbent welfare of that moment."""
+
+    def __init__(self, market):
+        super().__init__(market)
+        self.skipped = []
+
+    def _leaf(self, counts, price):
+        flows, best = self.flows, self.best
+        super()._leaf(counts, price)
+        if self.flows == flows:
+            key = tuple(counts)
+            needed = best[0] + price
+            if self.layout.upper_bound(key, needed) >= needed:
+                self.skipped.append((key, price, best[0]))
+
+
+def test_dual_bound_skips_only_leaves_strictly_below_the_incumbent():
+    skipped = 0
+    for market in [_tie_heavy_market(6)] + _tie_prone_markets(11, 150):
+        search = _DualSkipSearch(market)
+        search.run()
+        for counts, price, incumbent in search.skipped:
+            assert search.layout.solve(counts)[1] - price < incumbent
+        skipped += len(search.skipped)
+    # 54 leaves here; skipping on equality instead would skip 317, of which
+    # 257 tie the incumbent.
+    assert skipped >= 50
+
+
+def test_dual_bound_leaves_few_flows_at_twenty_buyers():
+    res = solve_swm(generate_instance(buyers=20, vendors=2, items=2, seed=1))
+    assert res.social_welfare == 103
+    assert res.partitions_priced == 2426
+    assert res.flows_solved <= 60
+
+
+def test_solve_swm_refuses_a_winner_its_cold_flow_disagrees_with(
+    fix_e2, monkeypatch
+):
+    compiled = _AssignmentLayout.value
+    monkeypatch.setattr(
+        _AssignmentLayout, "value", lambda self, counts: compiled(self, counts) + 1
+    )
+    with pytest.raises(RuntimeError, match="in its own flow but"):
+        solve_swm(fix_e2)
