@@ -180,7 +180,7 @@ def _rational(value: Any, where: str) -> Fraction:
 def instance_to_dict(market: Market) -> dict:
     """Canonical instance document; the implicit null vendor is omitted."""
     vendors = []
-    for vendor in sorted(market.real_vendors, key=lambda v: v.id):
+    for vendor in market.real_vendors:
         vendors.append(
             {
                 "id": vendor.id,
@@ -195,7 +195,7 @@ def instance_to_dict(market: Market) -> dict:
             }
         )
     buyers = []
-    for buyer in sorted(market.buyers, key=lambda b: b.id):
+    for buyer in market.buyers:
         buyers.append(
             {
                 "id": buyer.id,
@@ -262,8 +262,6 @@ def instance_from_dict(data: Any) -> Market:
             valuations[choice] = _as_int(value, f"{vwhere}.value")
         buyers.append(Buyer(id=bid, valuations=valuations))
 
-    vendors.sort(key=lambda v: v.id)
-    buyers.sort(key=lambda b: b.id)
     return Market.build(c=c, vendors=vendors, buyers=buyers)
 
 
@@ -304,8 +302,7 @@ class SolutionBundle:
 
 def solution_to_dict(bundle: SolutionBundle) -> dict:
     buyers = {}
-    for bid in sorted(bundle.prices.entries):
-        entry = bundle.prices.entries[bid]
+    for bid, entry in bundle.prices.entries.items():
         buyers[bid] = {
             "market_price": entry.market_price,
             "delta": rational_to_str(entry.delta),
@@ -317,8 +314,7 @@ def solution_to_dict(bundle: SolutionBundle) -> dict:
         "schema": SOLUTION_SCHEMA,
         "social_welfare": bundle.social_welfare,
         "allocation": {
-            bid: list(choice)
-            for bid, choice in sorted(bundle.allocation.choice.items())
+            bid: list(choice) for bid, choice in bundle.allocation.choice.items()
         },
         "buyers": buyers,
         "group_transfers": [

@@ -73,19 +73,28 @@ class Buyer:
 
 @dataclass(frozen=True, eq=False)
 class Market:
-    """A market: item-type count, vendors (null vendor included), buyers."""
+    """A market: item-type count, vendors (null vendor included), buyers.
+
+    Construction adds the null vendor when absent and stores vendors and
+    buyers in id order, so no result depends on the order they came in.
+    """
 
     c: int
     vendors: tuple[Vendor, ...]
     buyers: tuple[Buyer, ...]
 
+    def __post_init__(self) -> None:
+        vendors = list(self.vendors)
+        if not any(v.id == NULL_VENDOR for v in vendors):
+            vendors.append(null_vendor(self.c))
+        for name, parts in (("vendors", vendors), ("buyers", self.buyers)):
+            object.__setattr__(self, name, tuple(sorted(parts, key=lambda p: p.id)))
+
     @classmethod
     def build(cls, c: int, vendors: list[Vendor], buyers: list[Buyer]) -> "Market":
-        """Assemble a market, appending the null vendor when absent."""
-        vs = list(vendors)
-        if not any(v.id == NULL_VENDOR for v in vs):
-            vs.append(null_vendor(c))
-        return cls(c=c, vendors=tuple(vs), buyers=tuple(buyers))
+        """``Market(c, vendors, buyers)``, which adds the null vendor and
+        orders by id."""
+        return cls(c=c, vendors=tuple(vendors), buyers=tuple(buyers))
 
     @cached_property
     def _vendor_index(self) -> dict[VendorId, Vendor]:
@@ -123,7 +132,7 @@ class Market:
     @cached_property
     def vendor_tuples(self) -> tuple[VendorTuple, ...]:
         """All vendor tuples of length c, in lexicographic id order."""
-        ids = sorted(v.id for v in self.vendors)
+        ids = [v.id for v in self.vendors]
         return tuple(itertools.product(ids, repeat=self.c))
 
     @cached_property
@@ -164,7 +173,8 @@ class GroupPartition:
     ``positive_groups[s]`` holds buyers taking the full discounted bundle
     from vendor ``s`` with positive surplus; ``negative_groups[x]`` holds
     buyers purchasing from exactly the vendor set ``x`` (sorted encoding)
-    with negative surplus.  Zero-surplus buyers belong to no group.
+    with negative surplus.  Zero-surplus buyers belong to no group, and
+    each group lists its members in id order.
     """
 
     positive_groups: Mapping[VendorId, tuple[BuyerId, ...]]
@@ -186,7 +196,8 @@ class ValidationReport:
 
 
 def validate_market(market: Market) -> ValidationReport:
-    """Check structural invariants; violations come back as report entries."""
+    """Check structural invariants; violations come back as report entries.
+    The null vendor needs no check: ``Market`` always adds it."""
     problems: list[str] = []
 
     seen_vendors: set[VendorId] = set()
@@ -209,9 +220,6 @@ def validate_market(market: Market) -> ValidationReport:
                 problems.append("null vendor must not offer discounts")
             continue
         problems.extend(_validate_tiers(market.c, vendor))
-
-    if NULL_VENDOR not in seen_vendors:
-        problems.append("market is missing the null vendor")
 
     seen_buyers: set[BuyerId] = set()
     for buyer in market.buyers:
@@ -397,8 +405,8 @@ def group_partition(market: Market, alloc: Allocation) -> GroupPartition:
             x = tuple(sorted(set(choice)))
             negative.setdefault(x, []).append(b)
 
-    positive_sorted = {s: tuple(sorted(ids)) for s, ids in sorted(positive.items())}
-    negative_sorted = {x: tuple(sorted(ids)) for x, ids in sorted(negative.items())}
+    positive_sorted = {s: tuple(ids) for s, ids in sorted(positive.items())}
+    negative_sorted = {x: tuple(ids) for x, ids in sorted(negative.items())}
     return GroupPartition(
         positive_groups=positive_sorted,
         positive_totals={

@@ -330,11 +330,6 @@ class _PartitionSearch:
             steps = [b - a for a, b in zip(self.adj[k], self.adj[k][1:])]
             pool = sorted(pool + steps, reverse=True)[:n]
             self.suffix[k] = list(itertools.accumulate(pool, initial=0))
-        # sizes[left][r]: leaves under a node with ``left`` cells open.
-        self.sizes = [[int(r == 0) for r in range(n + 1)]] + [
-            [partition_count(r, left) for r in range(n + 1)]
-            for left in range(1, len(cells) + 1)
-        ]
         self.best: tuple | None = None
         # The (C, λ) pairs of the last four flows, newest first.
         self.duals: list[tuple[Money, list[Money]]] = []
@@ -348,7 +343,7 @@ class _PartitionSearch:
         depth is not bounded by Python's recursion limit.
         """
         base, slots, adj, suffix = self.base, self.slots, self.adj, self.suffix
-        bundles, sizes, leaf = self.bundles, self.sizes, self._leaf
+        bundles, leaf = self.bundles, self._leaf
         last = len(base) - 1
         counts = [0] * len(base)
         demand = [0] * self.demand_size
@@ -357,7 +352,7 @@ class _PartitionSearch:
         left = [len(self.layout.market.buyers)] + [0] * last
         bound = [0] * len(base)
         paid = [0] * len(base)
-        total = sizes[last + 1][left[0]]
+        total = partition_count(left[0], last + 1)
         pos = 0  # compositions covered so far
         mark = 1000
 
@@ -382,11 +377,10 @@ class _PartitionSearch:
                 m = counts[k]
                 continue
             rest = left[k] - m
-            size = sizes[last - k][rest]
             child = bound[k] + adj[k][m]
             best = self.best
             if best is not None and child + suffix[k + 1][rest] < best[0]:
-                advance(size)
+                advance(partition_count(rest, last - k) if k < last else 1)
                 continue
             for i in slots[k]:
                 demand[i] += m - counts[k]

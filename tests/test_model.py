@@ -126,6 +126,16 @@ def test_demand_vectors(fix_e1, fix_e2):
     assert cell_prices(fix_e2, {("s1", "s1"): 1, ("s1", "s2"): 1})[("s1", "s1")] == 8
 
 
+def test_market_adds_the_null_vendor_and_orders_by_id():
+    s1, s2 = Vendor("s1", (1,)), Vendor("s2", (2,))
+    b2, b10 = Buyer("b2", {}), Buyer("b10", {})
+    market = Market(1, (s2, s1), (b2, b10))
+    assert [v.id for v in market.vendors] == [NULL_VENDOR, "s1", "s2"]
+    assert market.vendor(NULL_VENDOR).base_prices == (0,)
+    assert market.buyers == (b10, b2)
+    assert market.vendor_tuples == ((NULL_VENDOR,), ("s1",), ("s2",))
+
+
 def test_demand_vectors_empty_market():
     market = Market.build(c=2, vendors=[Vendor("s1", (1, 1))], buyers=[])
     assert market_prices(market, Allocation({})) == {}

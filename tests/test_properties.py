@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -15,12 +16,13 @@ from gbb.flow import Edge, FlowNetwork, max_flow, min_cost_max_flow  # noqa: E40
 from gbb.generate import generate_instance  # noqa: E402
 from gbb.model import (  # noqa: E402
     Buyer,
+    GroupPartition,
     ITEM_TYPES_LIMIT,
     Market,
     NULL_VENDOR,
     group_partition,
 )
-from gbb.documents import to_canonical_json  # noqa: E402
+from gbb.documents import instance_to_dict, to_canonical_json  # noqa: E402
 from gbb.swm import _PartitionSearch, brute_force_swm, solve_swm  # noqa: E402
 from gbb.transfers import (  # noqa: E402
     fair_buyer_transfers,
@@ -61,6 +63,43 @@ def test_solve_swm_matches_brute_force(market):
     res = solve_swm(market)
     assert res.social_welfare == brute_force_swm(market)[1]
     assert res.flows_solved <= res.partitions_evaluated
+
+
+def _order_sensitive_results(market):
+    """Everything downstream of a market whose order could leak out."""
+    swm = solve_swm(market)
+    oracle = brute_force_swm(market)
+    alloc = swm.allocation
+    gp = group_partition(market, alloc)
+    gt = solve_group_transfers(market, alloc, gp)
+    matrix = fair_buyer_transfers(market, alloc, gp, gt)
+    prices = prices_from_transfers(market, alloc, matrix)
+    return {
+        "vendors": market.vendors,
+        "buyers": market.buyers,
+        "document": instance_to_dict(market),
+        "swm": (
+            dict(alloc.choice),
+            swm.social_welfare,
+            swm.partitions_priced,
+            swm.flows_solved,
+        ),
+        "oracle": (dict(oracle[0].choice), oracle[1]),
+        "groups": {
+            field.name: getattr(gp, field.name) for field in fields(GroupPartition)
+        },
+        "certificate": certify(market, alloc, prices, gt, matrix, gp=gp).to_jsonable(),
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_markets(), st.randoms(use_true_random=False))
+def test_construction_order_never_changes_a_result(market, rng):
+    vendors, buyers = list(market.vendors), list(market.buyers)
+    rng.shuffle(vendors)
+    rng.shuffle(buyers)
+    shuffled = Market.build(c=market.c, vendors=vendors, buyers=buyers)
+    assert _order_sensitive_results(shuffled) == _order_sensitive_results(market)
 
 
 class _DualRecordingSearch(_PartitionSearch):

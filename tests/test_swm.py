@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from gbb.documents import instance_from_dict, instance_to_dict
 from gbb.generate import generate_instance
 from gbb.model import (
     Allocation,
@@ -302,6 +303,29 @@ def test_progress_hook_reports_totals():
     big = generate_instance(buyers=5, vendors=2, items=2, seed=5, max_value=9)
     solve_swm(big, progress=lambda done, total: calls.append((done, total)))
     assert calls == [(1000, partition_count(5, 9))]
+
+    # Pruned subtrees advance by their leaf count, so the hook still fires
+    # once per 1 000 of the 3 003 and 1 024 partitions.
+    for args, partitions in (((6, 2, 2, 1), 3003), ((1, 31, 2, 3), 1024)):
+        calls = []
+        solve_swm(
+            generate_instance(*args),
+            progress=lambda done, total: calls.append((done, total)),
+        )
+        assert calls == [(m, partitions) for m in range(1000, partitions + 1, 1000)]
+
+
+@pytest.mark.parametrize("args", [(10, 2, 1, 1), (10, 2, 2, 14), (14, 1, 2, 6)])
+def test_document_round_trip_keeps_the_solution(args):
+    # The generator names buyers b1..b14, out of id order past b9; the
+    # market orders them by id on construction, as its document does.
+    market = generate_instance(*args)
+    direct = solve_swm(market)
+    read = solve_swm(instance_from_dict(instance_to_dict(market)))
+    assert dict(direct.allocation.choice) == dict(read.allocation.choice)
+    assert direct.social_welfare == read.social_welfare
+    assert direct.partitions_priced == read.partitions_priced
+    assert direct.flows_solved == read.flows_solved
 
 
 def test_equal_welfare_ties_pick_lexicographically_smallest_partition():
