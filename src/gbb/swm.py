@@ -2,12 +2,11 @@
 
 The solver conditions on a *partition*: per-cell buyer counts, a tuple
 aligned with ``market.vendor_tuples`` (the cells).  For fixed counts the
-best assignment is a min-cost max-flow on a small bipartite network: with
-N buyers and K cells, source 0, buyer i at ``1 + i``, cell j at
-``1 + N + j`` and the sink at ``N + K + 1``.  Only the K cell->sink
-capacities depend on the counts, so the network is compiled once per
-market into a residual graph, and a leaf resets those K capacities and
-routes its flow there.
+best assignment is a capacitated assignment problem.  A leaf's value comes
+from a dense Hungarian-style kernel over the leaf's open cells, those with
+``n_j > 0``, which also leaves cell prices that are LP duals
+(``_AssignmentLayout``).  The winner's assignment comes from a min-cost
+max-flow on the partition's bipartite network.
 
 A depth-first search covers every partition: the first cell's count runs
 down from N, then the search recurses on the remaining cells, so leaves
@@ -15,28 +14,28 @@ come in reverse lexicographic order.  The path carries the base-price sum
 and each tiered vendor's per-item demand, so a leaf's price is that sum
 less, per vendor, its full-bundle count times the discount of the highest
 tier the demand meets; ``total_price`` stays as the reference.  A leaf gets
-its flow only when two bounds on its welfare reach the incumbent:
+its value only when two bounds on its welfare reach the incumbent:
 ``_AssignmentLayout.upper_bound`` minus its price, and the LP-dual bound of
-each of the last four flows.  A flow's node potentials give cell
-multipliers ``λ_j``, minus cell j's potential, and by weak duality every
-counts tuple n has value at most ``C(λ) + Σ_j λ_j·n_j`` with
-``C(λ) = Σ_i max_j (v_ij − λ_j)`` over all cells.  An interior node with
-cells ``< k`` fixed and ``r`` buyers left is skipped with its whole subtree
-when the fixed cells' best values net of their lowest possible prices,
-plus the ``r`` best such values over the open cells, fall strictly below
-the incumbent.  Every bound skips only what is strictly below the
-incumbent, so the welfare and the chosen partition are those of solving
-every leaf's flow.  The incumbent holds the welfare and the counts; once
-the search ends, one flow on the winner's own network gives the
-assignment, so ties between equal-value assignments resolve as that flow
-resolves them.  The search runs in one process, so every bound compares
-against the best leaf of the whole order found so far.
+each of the last four leaf values.  The kernel's cell prices ``λ_j`` give,
+by weak duality, every counts tuple n a value of at most
+``C(λ) + Σ_j λ_j·n_j`` with ``C(λ) = Σ_i max_j (v_ij − λ_j)`` over all
+cells.  An interior node with cells ``< k`` fixed and ``r`` buyers left
+is skipped with its whole subtree when the fixed cells' best values net of
+their lowest possible prices, plus the ``r`` best such values over the
+open cells, fall strictly below the incumbent.  Every bound skips only
+what is strictly below the incumbent, so the welfare and the chosen
+partition are those of valuing every leaf.  The incumbent holds the
+welfare and the counts; once the search ends, one flow on the winner's own
+network gives the assignment, so ties between equal-value assignments
+resolve as that flow resolves them.  The search runs in one process, so
+every bound compares against the best leaf of the whole order found so
+far.
 
 ``SwmResult.partitions_evaluated`` counts partitions covered, priced or
 ruled out with their subtree, so it always equals ``partition_count``; it
 is the result's one partition counter.  ``partitions_priced`` counts
-leaves priced, and ``flows_solved`` the leaves whose value a flow gave
-(the winner's flow after the search is not counted).
+leaves priced, and ``flows_solved`` the leaves whose exact value the
+kernel computed (the winner's flow after the search is not counted).
 A brute-force enumerator over whole allocations serves as the independent
 oracle at desk scale.
 """
@@ -47,9 +46,10 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from operator import sub
 from typing import Callable
 
-from .flow import Edge, FlowNetwork, _Residual, min_cost_max_flow
+from .flow import Edge, FlowNetwork, min_cost_max_flow
 from .model import Allocation, Market, Money, cell_prices
 
 DEFAULT_PARTITION_CAP = 5_000_000
@@ -82,24 +82,30 @@ def partition_count(n_buyers: int, cells: int) -> int:
 
 
 class _AssignmentLayout:
-    """Bipartite network routing each buyer to a vendor-tuple slot.
+    """One market's valuation table, and the best assignment of buyers to
+    cells for a partition's counts.
 
-    With N buyers and K cells, the source is node 0, buyer i is node
-    ``1 + i``, cell j is node ``1 + N + j`` and the sink is ``N + K + 1``.
-    Source->buyer edges have unit capacity; buyer->tuple edges, tagged
-    ``(buyer id, choice)``, cost ``ceiling`` less the valuation, where
-    ``ceiling`` is the market's largest valuation, so no cost is negative.
-    Every buyer crosses exactly one such edge, so a flow routing all N
-    buyers is worth ``N * ceiling`` less its cost.  Both edge sets are
-    built once per market; a partition only appends its tuple->sink edges,
-    whose capacities are the per-tuple counts.
+    ``value`` finds a partition's assignment value with a dense assignment
+    kernel, the capacitated form of the Hungarian shortest-augmenting-path
+    method (Kuhn 1955; Jonker & Volgenant 1987), on the open cells alone:
+    those with ``n_j > 0``.  It inserts the buyers one at a time.  Each
+    insertion is a Dijkstra without a heap over the K′ ≤ min(N, K) open
+    cells, in O(K′² + N·K′), and leaves an optimal assignment of the
+    buyers inserted so far together with cell prices ``λ_j`` that make
+    every buyer's own cell one of its best: ``u_i = v_ij − λ_j`` for its
+    cell j and ``u_i ≥ v_ik − λ_k`` for every open cell k.  ``dual`` turns
+    those prices into the LP duals that the search's leaf bound reads.
 
-    The network with every tuple->sink capacity 0 is compiled once into a
-    residual graph: ``value`` resets those K capacities to a partition's
-    counts and routes the flow on it, and ``dual`` reads cell multipliers
-    from the potentials that flow leaves.  ``solve`` builds the partition's
-    own network and flow, for the assignment itself.  The same valuations
-    back ``upper_bound`` and ``dual``.
+    ``solve`` builds the partition's flow network and solves it with
+    ``min_cost_max_flow``, for the assignment itself: with N buyers and K
+    cells, the source is node 0, buyer i is node ``1 + i``, cell j is node
+    ``1 + N + j`` and the sink is ``N + K + 1``.  Source->buyer edges have
+    unit capacity; buyer->cell edges, tagged ``(buyer id, choice)``, cost
+    ``ceiling`` less the valuation, where ``ceiling`` is the market's
+    largest valuation, so no cost is negative; cell->sink capacities are
+    the counts.  Every buyer crosses exactly one buyer->cell edge, so a
+    flow routing all N buyers is worth ``N * ceiling`` less its cost.  The
+    same valuations back ``upper_bound``, ``value`` and ``dual``.
     """
 
     def __init__(self, market: Market) -> None:
@@ -108,31 +114,17 @@ class _AssignmentLayout:
             [buyer.valuation(choice) for choice in market.vendor_tuples]
             for buyer in market.buyers
         ]
+        self.columns = list(zip(*values)) or [()] * len(market.vendor_tuples)
         self.ceiling = max((v for row in values for v in row), default=0)
-        n, k = len(market.buyers), len(market.vendor_tuples)
-        self.tuple_nodes = range(1 + n, 1 + n + k)
-        self.sink = 1 + n + k
-        edges = [Edge(0, 1 + i, 1) for i in range(n)]
-        for i, (buyer, row) in enumerate(zip(market.buyers, values)):
-            for choice, slot, value in zip(
-                market.vendor_tuples, self.tuple_nodes, row
-            ):
-                edges.append(
-                    Edge(1 + i, slot, 1, self.ceiling - value, (buyer.id, choice))
-                )
-        self.edges = tuple(edges)
-        self.sink_edges = range(len(edges), len(edges) + k)
-        self.residual = _Residual(self.network((0,) * k))
+        # The last ``value`` call's counts, its open cells' prices and the
+        # buyers' utilities, for ``dual``.
+        self._kernel: tuple = ((), [], [])
         # Per buyer, (cell, value) pairs from best to worst cell; per cell j,
         # top[j][m] is the sum of the m largest values in column j.
         self.ranked = [sorted(enumerate(row), key=lambda jv: -jv[1]) for row in values]
         self.top = [
-            list(
-                itertools.accumulate(
-                    sorted((row[j] for row in values), reverse=True), initial=0
-                )
-            )
-            for j in range(k)
+            list(itertools.accumulate(sorted(column, reverse=True), initial=0))
+            for column in self.columns
         ]
 
     def upper_bound(self, counts: tuple[int, ...], floor: Money) -> Money:
@@ -155,43 +147,110 @@ class _AssignmentLayout:
         return min(bound, best_open)
 
     def network(self, counts: tuple[int, ...]) -> FlowNetwork:
-        sink_edges = tuple(
-            Edge(slot, self.sink, n) for slot, n in zip(self.tuple_nodes, counts)
-        )
-        return FlowNetwork(self.sink + 1, 0, self.sink, self.edges + sink_edges)
+        """The partition's flow network; see the class docstring."""
+        market, ceiling = self.market, self.ceiling
+        n = len(self.values)
+        sink = n + len(counts) + 1
+        slots = range(n + 1, sink)
+        edges = [Edge(0, 1 + i, 1) for i in range(n)]
+        for i, (buyer, row) in enumerate(zip(market.buyers, self.values)):
+            for choice, slot, value in zip(market.vendor_tuples, slots, row):
+                edges.append(Edge(1 + i, slot, 1, ceiling - value, (buyer.id, choice)))
+        edges.extend(Edge(slot, sink, m) for slot, m in zip(slots, counts))
+        return FlowNetwork(sink + 1, 0, sink, tuple(edges))
 
-    def _valued(self, routed: int, cost: int) -> Money:
+    def _routed(self, routed: int) -> None:
+        """Raise RuntimeError unless every buyer found a slot."""
         n_buyers = len(self.values)
         if routed != n_buyers:
-            raise RuntimeError(
-                f"assignment flow routed {routed} of {n_buyers} buyers"
-            )
-        return n_buyers * self.ceiling - cost
+            raise RuntimeError(f"assignment routed {routed} of {n_buyers} buyers")
 
     def value(self, counts: tuple[int, ...]) -> Money:
-        """Total valuation of the best assignment matching counts, routed
-        on the compiled residual graph."""
-        res = self.residual
-        res.reset(zip(self.sink_edges, counts))
-        return self._valued(*res.shortest_paths())
+        """Total valuation of the best assignment matching counts, from the
+        open-cell kernel; see the class docstring.
+
+        Buyer s is inserted at distance ``dist_j = u_s − (v_sj − λ_j)``
+        from each open cell j, ``u_s`` being its best net value.  The
+        cheapest unscanned cell t, the first in index order on a tie, is
+        the target if it has a free slot; otherwise each member i of t
+        relaxes the other unscanned cells j to ``dist_t + u_i − (v_ij −
+        λ_j)``.  Every scanned cell's price then rises by ``D − dist_j``, D
+        being the target's distance, and the buyers on the path shift one
+        cell on.  Raises RuntimeError when the counts hold fewer slots than
+        buyers.
+        """
+        cells = [j for j, m in enumerate(counts) if m]
+        free = [counts[j] for j in cells]
+        rows = [[row[j] for j in cells] for row in self.values]
+        width = len(cells)
+        lam = [0] * width
+        members: list[list[int]] = [[] for _ in cells]
+        cell_of: list[int] = []
+        for s, row in enumerate(rows):
+            net = [v - p for v, p in zip(row, lam)]
+            top = max(net, default=0)
+            dist = [top - x for x in net]
+            pred = [s] * width
+            todo = list(range(width))
+            scanned = []
+            while True:
+                if not todo:
+                    self._routed(s)
+                t = min(todo, key=dist.__getitem__)
+                d = dist[t]
+                if free[t]:
+                    break
+                todo.remove(t)
+                scanned.append(t)
+                lam_t = lam[t]
+                for i in members[t]:
+                    r = rows[i]
+                    base = d + r[t] - lam_t
+                    for j in todo:
+                        nd = base - r[j] + lam[j]
+                        if nd < dist[j]:
+                            dist[j] = nd
+                            pred[j] = i
+            for j in scanned:
+                lam[j] += d - dist[j]
+            free[t] -= 1
+            j, i = t, pred[t]
+            while i != s:
+                k = cell_of[i]
+                members[k].remove(i)
+                members[j].append(i)
+                cell_of[i] = j
+                j, i = k, pred[k]
+            members[j].append(s)
+            cell_of.append(j)
+        utility = [r[j] - lam[j] for r, j in zip(rows, cell_of)]
+        self._kernel = (counts, lam, utility)
+        return sum(r[j] for r, j in zip(rows, cell_of))
 
     def dual(self) -> tuple[Money, list[Money]]:
-        """``(C, λ)`` from the potentials of the last ``value`` flow.
+        """``(C, λ)`` from the cell prices of the last ``value`` call.
 
-        ``λ_j`` is minus cell j's potential and ``C = Σ_i max_j (v_ij −
-        λ_j)`` over every cell.  For any λ and any counts tuple n, weak
-        duality gives ``value(n) ≤ C + Σ_j λ_j·n_j``; with the potentials
-        of n's own flow the two sides are equal.
+        An open cell keeps its kernel price; a closed cell j gets ``λ_j =
+        max_i (v_ij − u_i)``, or 0 without buyers, the least price at which
+        no buyer prefers it.  Then ``C = Σ_i u_i`` and every buyer's
+        utility is its best ``v_ij − λ_j`` over all cells, so by weak LP
+        duality every counts tuple n has ``value(n) ≤ C + Σ_j λ_j·n_j``,
+        with equality at the counts of that call.
         """
-        pot = self.residual.pot[self.tuple_nodes.start : self.sink]
-        total = sum(max([v + p for v, p in zip(row, pot)]) for row in self.values)
-        return total, [-p for p in pot]
+        counts, lam, utility = self._kernel
+        open_prices = iter(lam)
+        prices = [
+            next(open_prices) if m else max(map(sub, column, utility), default=0)
+            for m, column in zip(counts, self.columns)
+        ]
+        return sum(utility), prices
 
     def solve(self, counts: tuple[int, ...]) -> tuple[dict, Money]:
         """Assignment and total valuation for one partition's counts."""
         flow = min_cost_max_flow(self.network(counts))
+        self._routed(flow.value)
         choice = {tag[0]: tag[1] for tag, f in flow.tagged() if f > 0}
-        return choice, self._valued(flow.value, flow.cost)
+        return choice, len(self.values) * self.ceiling - flow.cost
 
 
 def total_price(market: Market, counts: tuple[int, ...]) -> Money:
@@ -226,8 +285,8 @@ def solve_swm(
     A depth-first search covers the count tuples in reverse lexicographic
     order, prices each leaf it reaches from the demand carried down its
     path and skips every subtree whose welfare bound is below the
-    incumbent; only leaves whose own bounds reach the incumbent get a
-    min-cost flow.  Equal-welfare ties resolve to the lexicographically
+    incumbent; only leaves whose own bounds reach the incumbent are
+    valued.  Equal-welfare ties resolve to the lexicographically
     smallest counts tuple, which the allocation determines; the winner's
     assignment comes from one flow on its own network after the search, so
     results are reproducible run to run.  Raises RuntimeError if that flow
@@ -331,7 +390,7 @@ class _PartitionSearch:
             pool = sorted(pool + steps, reverse=True)[:n]
             self.suffix[k] = list(itertools.accumulate(pool, initial=0))
         self.best: tuple | None = None
-        # The (C, λ) pairs of the last four flows, newest first.
+        # The (C, λ) pairs of the last four leaf values, newest first.
         self.duals: list[tuple[Money, list[Money]]] = []
         self.flows = 0
         self.priced = 0
@@ -402,14 +461,14 @@ class _PartitionSearch:
             advance(1)
 
     def _leaf(self, counts: list[int], price: Money) -> None:
-        """Price-known leaf: value its flow unless a bound rules it out."""
+        """Price-known leaf: value it unless a bound rules it out."""
         self.priced += 1
         best = self.best
         layout = self.layout
         key = tuple(counts)
         if best is not None:
             # Beating the incumbent needs an assignment worth ``needed``; the
-            # flow is skipped only when a bound is strictly below it, so an
+            # leaf is skipped only when a bound is strictly below it, so an
             # equal-welfare partition still reaches the tie rule below.
             needed = best[0] + price
             if layout.upper_bound(key, needed) < needed:

@@ -138,10 +138,8 @@ def reference_min_cost_max_flow(net):
 
 def reference_ssp_edge_flows(net):
     """Oracle: the edge flows of successive shortest paths with Dijkstra on
-    reduced costs, ties broken by edge order, written out as one function.
-
-    This is the solver's loop as it stood before it moved into
-    ``_Residual.shortest_paths``; the solver must keep its edge flows.
+    reduced costs, ties broken by edge order, written out as one function
+    on its own residual arrays; the solver must keep its edge flows.
     """
     n = net.node_count
     head, cap, cost = [], [], []

@@ -23,7 +23,13 @@ from gbb.model import (  # noqa: E402
     group_partition,
 )
 from gbb.documents import instance_to_dict, to_canonical_json  # noqa: E402
-from gbb.swm import _PartitionSearch, brute_force_swm, solve_swm  # noqa: E402
+from gbb.swm import (  # noqa: E402
+    _AssignmentLayout,
+    _PartitionSearch,
+    brute_force_swm,
+    partition_count,
+    solve_swm,
+)
 from gbb.transfers import (  # noqa: E402
     fair_buyer_transfers,
     prices_from_transfers,
@@ -103,8 +109,8 @@ def test_construction_order_never_changes_a_result(market, rng):
 
 
 class _DualRecordingSearch(_PartitionSearch):
-    """Records, per flowed leaf, its counts and the ``(C, λ)`` pair its
-    flow added to the pairs the search keeps."""
+    """Records, per valued leaf, its counts and the ``(C, λ)`` pair its
+    value added to the pairs the search keeps."""
 
     def __init__(self, market):
         super().__init__(market)
@@ -130,10 +136,48 @@ def test_every_kept_dual_bounds_every_partition(market):
     }
     for flowed, (total, lam) in search.kept:
         # Weak duality for every partition, with equality at the leaf whose
-        # flow left the potentials.
+        # kernel left the prices.
         for counts, value in values.items():
             assert total + sum(x * n for x, n in zip(lam, counts)) >= value
         assert total + sum(x * n for x, n in zip(lam, flowed)) == values[flowed]
+
+
+@st.composite
+def assignment_leaves(draw):
+    """A market with drawn valuations, all zero when their ceiling is 0,
+    and a counts tuple that seats its buyers, often leaving cells at 0."""
+    base = generate_instance(
+        buyers=draw(st.integers(0, 6)),
+        vendors=draw(st.integers(1, 2)),
+        items=draw(st.integers(1, 2)),
+        seed=draw(st.integers(0, 10**6)),
+    )
+    ceiling = draw(st.sampled_from((0, 2, 6, 1000)))
+    cells = [t for t in base.vendor_tuples if any(v != NULL_VENDOR for v in t)]
+    buyers = [
+        Buyer(b.id, {cell: draw(st.integers(0, ceiling)) for cell in cells})
+        for b in base.buyers
+    ]
+    market = Market.build(c=base.c, vendors=list(base.vendors), buyers=buyers)
+    k = market.cell_count
+    n = len(buyers)
+    seats = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    return market, tuple(seats.count(j) for j in range(k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(assignment_leaves())
+def test_assignment_kernel_is_exact_and_its_duals_bound_every_partition(leaf):
+    market, counts = leaf
+    layout = _AssignmentLayout(market)
+    value = layout.value(counts)
+    total, lam = layout.dual()
+    assert value == layout.solve(counts)[1]
+    assert total + sum(x * c for x, c in zip(lam, counts)) == value
+    n, k = len(market.buyers), market.cell_count
+    if partition_count(n, k) <= 120:
+        for m in enumerate_partitions(n, k):
+            assert total + sum(x * c for x, c in zip(lam, m)) >= layout.solve(m)[1]
 
 
 @settings(max_examples=300, deadline=None)

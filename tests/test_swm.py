@@ -489,20 +489,27 @@ def _tie_prone_markets(seed, count):
 def test_one_cold_flow_per_solve(monkeypatch):
     import gbb.swm
 
-    calls = []
-    solver = gbb.swm.min_cost_max_flow
+    calls, built = [], []
+    solver, network = gbb.swm.min_cost_max_flow, gbb.swm.FlowNetwork
 
     def counting(net):
         calls.append(net)
         return solver(net)
 
+    def building(*args):
+        built.append(args)
+        return network(*args)
+
     monkeypatch.setattr(gbb.swm, "min_cost_max_flow", counting)
+    monkeypatch.setattr(gbb.swm, "FlowNetwork", building)
     empty = Market.build(c=2, vendors=[Vendor("s1", (2, 2))], buyers=[])
     tie_heavy = _tie_heavy_market(30)
     for market in [empty, tie_heavy] + _seeded_markets():
         calls.clear()
+        built.clear()
         res = solve_swm(market)
-        assert len(calls) == 1
+        # The winner's network is built, and its edges validated, once.
+        assert len(calls) == len(built) == 1
     # Every leaf of the tie-heavy market ties, so every one gets a flow, and
     # the cold solve after the search is not counted among them.
     res = solve_swm(tie_heavy)
@@ -527,7 +534,7 @@ def test_compiled_leaf_values_equal_cold_values(monkeypatch):
         layout = _AssignmentLayout(market)
         for counts, value in valued:
             assert value == layout.solve(counts)[1]
-    # One layout's residual reset from partition to partition, in search
+    # One layout's kernel valuing partition after partition, in search
     # order, against a fresh flow for each.
     for market in markets[:24]:
         layout = _AssignmentLayout(market)
