@@ -14,10 +14,9 @@ come in reverse lexicographic order.  The path carries the base-price sum
 and each tiered vendor's per-item demand, so a leaf's price is that sum
 less, per vendor, its full-bundle count times the discount of the highest
 tier the demand meets; ``total_price`` stays as the reference.  A leaf gets
-its value only when two bounds on its welfare reach the incumbent:
-``_AssignmentLayout.upper_bound`` minus its price, and the LP-dual bound of
-each of the last four leaf values.  The kernel's cell prices ``λ_j`` give,
-by weak duality, every counts tuple n a value of at most
+its value only when the LP-dual bound of each of the last four leaf values,
+less its price, reaches the incumbent.  The kernel's cell prices ``λ_j``
+give, by weak duality, every counts tuple n a value of at most
 ``C(λ) + Σ_j λ_j·n_j`` with ``C(λ) = Σ_i max_j (v_ij − λ_j)`` over all
 cells.  An interior node with cells ``< k`` fixed and ``r`` buyers left
 is skipped with its whole subtree when the fixed cells' best values net of
@@ -94,7 +93,7 @@ class _AssignmentLayout:
     buyers inserted so far together with cell prices ``λ_j`` that make
     every buyer's own cell one of its best: ``u_i = v_ij − λ_j`` for its
     cell j and ``u_i ≥ v_ik − λ_k`` for every open cell k.  ``dual`` turns
-    those prices into the LP duals that the search's leaf bound reads.
+    those prices into the LP duals that the search's one leaf bound reads.
 
     ``solve`` builds the partition's flow network and solves it with
     ``min_cost_max_flow``, for the assignment itself: with N buyers and K
@@ -105,7 +104,7 @@ class _AssignmentLayout:
     largest valuation, so no cost is negative; cell->sink capacities are
     the counts.  Every buyer crosses exactly one buyer->cell edge, so a
     flow routing all N buyers is worth ``N * ceiling`` less its cost.  The
-    same valuations back ``upper_bound``, ``value`` and ``dual``.
+    same valuations back ``value`` and ``dual``.
     """
 
     def __init__(self, market: Market) -> None:
@@ -119,32 +118,6 @@ class _AssignmentLayout:
         # The last ``value`` call's counts, its open cells' prices and the
         # buyers' utilities, for ``dual``.
         self._kernel: tuple = ((), [], [])
-        # Per buyer, (cell, value) pairs from best to worst cell; per cell j,
-        # top[j][m] is the sum of the m largest values in column j.
-        self.ranked = [sorted(enumerate(row), key=lambda jv: -jv[1]) for row in values]
-        self.top = [
-            list(itertools.accumulate(sorted(column, reverse=True), initial=0))
-            for column in self.columns
-        ]
-
-    def upper_bound(self, counts: tuple[int, ...], floor: Money) -> Money:
-        """A bound on the total valuation of any assignment matching counts.
-
-        It is the smaller of two relaxations: every cell's ``n_j`` slots hold
-        at most its ``n_j`` highest values (O(cells)), and every buyer gets at
-        most its best cell with ``n_j > 0`` (O(buyers)).  The second is only
-        computed when the first is not already below ``floor``.
-        """
-        bound = sum(sums[n] for sums, n in zip(self.top, counts))
-        if bound < floor:
-            return bound
-        best_open = 0
-        for ranked in self.ranked:
-            for j, value in ranked:
-                if counts[j]:
-                    best_open += value
-                    break
-        return min(bound, best_open)
 
     def network(self, counts: tuple[int, ...]) -> FlowNetwork:
         """The partition's flow network; see the class docstring."""
@@ -379,8 +352,12 @@ class _PartitionSearch:
             low[cell] -= max(0, *(discount for _, discount in ladder))
         # adj[j][m]: the m highest values of cell j, each less p_lo(j).
         self.adj = [
-            [top - m * price for m, top in enumerate(sums)]
-            for sums, price in zip(layout.top, low)
+            list(
+                itertools.accumulate(
+                    (v - price for v in sorted(column, reverse=True)), initial=0
+                )
+            )
+            for column, price in zip(layout.columns, low)
         ]
         # suffix[k][r]: the r highest adjusted values over cells k and later.
         self.suffix = [[0]] * (len(cells) + 1)
@@ -411,14 +388,15 @@ class _PartitionSearch:
         left = [len(self.layout.market.buyers)] + [0] * last
         bound = [0] * len(base)
         paid = [0] * len(base)
-        total = partition_count(left[0], last + 1)
+        # Progress bookkeeping runs only when a hook is given.
+        total = 0 if progress is None else partition_count(left[0], last + 1)
         pos = 0  # compositions covered so far
         mark = 1000
 
         def advance(size: int) -> None:
             nonlocal pos, mark
             pos += size
-            while progress is not None and mark <= pos:
+            while mark <= pos:
                 progress(mark, total)
                 mark += 1000
 
@@ -439,7 +417,8 @@ class _PartitionSearch:
             child = bound[k] + adj[k][m]
             best = self.best
             if best is not None and child + suffix[k + 1][rest] < best[0]:
-                advance(partition_count(rest, last - k) if k < last else 1)
+                if progress is not None:
+                    advance(partition_count(rest, last - k) if k < last else 1)
                 continue
             for i in slots[k]:
                 demand[i] += m - counts[k]
@@ -458,24 +437,23 @@ class _PartitionSearch:
                             price -= n_bundle * discount
                             break
             leaf(counts, price)
-            advance(1)
+            if progress is not None:
+                advance(1)
 
     def _leaf(self, counts: list[int], price: Money) -> None:
         """Price-known leaf: value it unless a bound rules it out."""
         self.priced += 1
         best = self.best
         layout = self.layout
-        key = tuple(counts)
         if best is not None:
             # Beating the incumbent needs an assignment worth ``needed``; the
-            # leaf is skipped only when a bound is strictly below it, so an
-            # equal-welfare partition still reaches the tie rule below.
+            # leaf is skipped only when a kept dual's bound is strictly below
+            # it, so an equal-welfare partition still reaches the tie rule.
             needed = best[0] + price
-            if layout.upper_bound(key, needed) < needed:
-                return
             for total, lam in self.duals:
                 if total + sum([x * n for x, n in zip(lam, counts)]) < needed:
                     return
+        key = tuple(counts)
         value = layout.value(key)
         self.flows += 1
         self.duals.insert(0, layout.dual())

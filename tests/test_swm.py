@@ -315,6 +315,23 @@ def test_progress_hook_reports_totals():
         assert calls == [(m, partitions) for m in range(1000, partitions + 1, 1000)]
 
 
+def test_search_counts_partitions_only_for_a_progress_hook(monkeypatch):
+    # Without a hook, the cap check's count is the only one: no pruned
+    # subtree pays for its leaf count.
+    import gbb.swm
+
+    calls = []
+    counted = gbb.swm.partition_count
+
+    def counting(n_buyers, cells):
+        calls.append((n_buyers, cells))
+        return counted(n_buyers, cells)
+
+    monkeypatch.setattr(gbb.swm, "partition_count", counting)
+    solve_swm(generate_instance(6, 2, 2, 1))
+    assert calls == [(6, 9)]
+
+
 @pytest.mark.parametrize("args", [(10, 2, 1, 1), (10, 2, 2, 14), (14, 1, 2, 6)])
 def test_document_round_trip_keeps_the_solution(args):
     # The generator names buyers b1..b14, out of id order past b9; the
@@ -554,10 +571,7 @@ class _DualSkipSearch(_PartitionSearch):
         flows, best = self.flows, self.best
         super()._leaf(counts, price)
         if self.flows == flows:
-            key = tuple(counts)
-            needed = best[0] + price
-            if self.layout.upper_bound(key, needed) >= needed:
-                self.skipped.append((key, price, best[0]))
+            self.skipped.append((tuple(counts), price, best[0]))
 
 
 def test_dual_bound_skips_only_leaves_strictly_below_the_incumbent():
@@ -568,8 +582,8 @@ def test_dual_bound_skips_only_leaves_strictly_below_the_incumbent():
         for counts, price, incumbent in search.skipped:
             assert search.layout.solve(counts)[1] - price < incumbent
         skipped += len(search.skipped)
-    # 54 leaves here; skipping on equality instead would skip 317, of which
-    # 257 tie the incumbent.
+    # 672 leaves here; skipping on equality instead would skip 959, of which
+    # 265 tie the incumbent.
     assert skipped >= 50
 
 
