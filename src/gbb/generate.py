@@ -83,9 +83,9 @@ def _random_tiers(
         second = tuple(min(cap, t + rng.randint(0, 1)) for t in first)
         if sum(second) <= sum(first) and second[0] < cap:
             second = (second[0] + 1,) + second[1:]
-        if sum(second) > sum(first) and all(
-            a >= b for a, b in zip(second, first)
-        ):
+        # Every first threshold is at most ``hi <= cap``, so ``second`` is
+        # componentwise at least ``first``.
+        if sum(second) > sum(first):
             tiers.append(
                 DiscountTier(
                     thresholds=second,

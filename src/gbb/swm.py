@@ -10,10 +10,14 @@ max-flow on the partition's bipartite network.
 
 A depth-first search covers every partition: the first cell's count runs
 down from N, then the search recurses on the remaining cells, so leaves
-come in reverse lexicographic order.  The path carries the base-price sum
-and each tiered vendor's per-item demand, so a leaf's price is that sum
-less, per vendor, its full-bundle count times the discount of the highest
-tier the demand meets; ``total_price`` stays as the reference.  A leaf gets
+come in reverse lexicographic order.  The path carries only the counts
+and the subtree bound.  A leaf prices itself from its counts, as
+``cell_prices`` defines it: the counts times the cells' base prices, less
+a discount per tiered vendor whose full-bundle cell holds buyers.  That
+discount is the bundle count times the discount of the highest tier the
+vendor's demand meets, where an item's demand is the sum of the counts of
+the cells that buy it from the vendor.  ``total_price`` stays as the
+reference.  A leaf gets
 its value only when the LP-dual bound of each of the last four leaf values,
 less its price, reaches the incumbent.  The kernel's cell prices ``λ_j``
 give, by weak duality, every counts tuple n a value of at most
@@ -45,7 +49,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from operator import sub
+from operator import ge, mul, sub
 from typing import Callable
 
 from .flow import Edge, FlowNetwork, min_cost_max_flow
@@ -124,12 +128,12 @@ class _AssignmentLayout:
         market, ceiling = self.market, self.ceiling
         n = len(self.values)
         sink = n + len(counts) + 1
-        slots = range(n + 1, sink)
+        nodes = range(n + 1, sink)
         edges = [Edge(0, 1 + i, 1) for i in range(n)]
         for i, (buyer, row) in enumerate(zip(market.buyers, self.values)):
-            for choice, slot, value in zip(market.vendor_tuples, slots, row):
-                edges.append(Edge(1 + i, slot, 1, ceiling - value, (buyer.id, choice)))
-        edges.extend(Edge(slot, sink, m) for slot, m in zip(slots, counts))
+            for choice, node, value in zip(market.vendor_tuples, nodes, row):
+                edges.append(Edge(1 + i, node, 1, ceiling - value, (buyer.id, choice)))
+        edges.extend(Edge(node, sink, m) for node, m in zip(nodes, counts))
         return FlowNetwork(sink + 1, 0, sink, tuple(edges))
 
     def _routed(self, routed: int) -> None:
@@ -149,7 +153,7 @@ class _AssignmentLayout:
         relaxes the other unscanned cells j to ``dist_t + u_i − (v_ij −
         λ_j)``.  Every scanned cell's price then rises by ``D − dist_j``, D
         being the target's distance, and the buyers on the path shift one
-        cell on.  Raises RuntimeError when the counts hold fewer slots than
+        cell on.  Raises RuntimeError when the counts sum to fewer than the
         buyers.
         """
         cells = [j for j, m in enumerate(counts) if m]
@@ -256,8 +260,8 @@ def solve_swm(
     """Exact welfare maximization over every feasible partition.
 
     A depth-first search covers the count tuples in reverse lexicographic
-    order, prices each leaf it reaches from the demand carried down its
-    path and skips every subtree whose welfare bound is below the
+    order, prices each leaf it reaches from the leaf's own counts and
+    skips every subtree whose welfare bound is below the
     incumbent; only leaves whose own bounds reach the incumbent are
     valued.  Equal-welfare ties resolve to the lexicographically
     smallest counts tuple, which the allocation determines; the winner's
@@ -310,10 +314,11 @@ def solve_swm(
 class _PartitionSearch:
     """One market's depth-first partition search; see the module docstring.
 
-    The tables are built once per market: each cell's base price and demand
-    indices, each tiered vendor's tier ladder, and the subtree bound's
-    tables.  The bound charges each cell its lowest possible price: the
-    lowest tier price for a full-bundle cell, the base price otherwise.
+    The tables are built once per market: each cell's base price; per
+    tiered vendor its full-bundle cell, the cells that buy each item from
+    it and its tier ladder; and the subtree bound's tables.  The bound
+    charges each cell its lowest possible price: the lowest tier price for
+    a full-bundle cell, the base price otherwise.
     """
 
     def __init__(self, market: Market) -> None:
@@ -322,33 +327,25 @@ class _PartitionSearch:
         c = market.c
         n = len(market.buyers)
         tiered = [v for v in market.real_vendors if v.tiers]
-        offset = {v.id: i * c for i, v in enumerate(tiered)}
-        self.demand_size = len(tiered) * c
         self.base = [market.base_price(choice) for choice in cells]
-        # Demand indices that a buyer in each cell adds one to.
-        self.slots = [
-            tuple(offset[vid] + k for k, vid in enumerate(choice) if vid in offset)
-            for choice in cells
-        ]
-        # Per tiered vendor: its full-bundle cell and, from the highest tier
-        # down, the (demand index, threshold) pairs to meet and the discount.
+        # Per tiered vendor and item, the cells that buy that item from it.
+        buying = {v.id: [[] for _ in range(c)] for v in tiered}
+        for j, choice in enumerate(cells):
+            for k, vid in enumerate(choice):
+                if vid in buying:
+                    buying[vid][k].append(j)
+        # Per tiered vendor: its full-bundle cell, the cells buying each item
+        # from it and, from the highest tier down, each tier's thresholds and
+        # discount.
         self.bundles = []
         low = list(self.base)
         for v in tiered:
             cell = cells.index((v.id,) * c)
-            at = offset[v.id]
             ladder = [
-                (
-                    tuple(
-                        (i, t)
-                        for i, t in zip(range(at, at + c), tier.thresholds)
-                        if t > 0
-                    ),
-                    v.base_bundle_price - tier.bundle_price,
-                )
+                (tier.thresholds, v.base_bundle_price - tier.bundle_price)
                 for tier in reversed(v.tiers)
             ]
-            self.bundles.append((cell, ladder))
+            self.bundles.append((cell, buying[v.id], ladder))
             low[cell] -= max(0, *(discount for _, discount in ladder))
         # adj[j][m]: the m highest values of cell j, each less p_lo(j).
         self.adj = [
@@ -378,16 +375,15 @@ class _PartitionSearch:
         The search keeps an explicit stack, one level per cell, so that its
         depth is not bounded by Python's recursion limit.
         """
-        base, slots, adj, suffix = self.base, self.slots, self.adj, self.suffix
+        base, adj, suffix = self.base, self.adj, self.suffix
         bundles, leaf = self.bundles, self._leaf
         last = len(base) - 1
         counts = [0] * len(base)
-        demand = [0] * self.demand_size
-        # Per level k, over the cells before k: buyers left, the sum of
-        # their adj entries and the sum of their base prices.
+        count_of = counts.__getitem__
+        # Per level k, over the cells before k: buyers left and the sum of
+        # their adj entries.
         left = [len(self.layout.market.buyers)] + [0] * last
         bound = [0] * len(base)
-        paid = [0] * len(base)
         # Progress bookkeeping runs only when a hook is given.
         total = 0 if progress is None else partition_count(left[0], last + 1)
         pos = 0  # compositions covered so far
@@ -404,10 +400,8 @@ class _PartitionSearch:
         while True:
             m -= 1
             if m < (left[k] if k == last else 0):
-                # Cell k is exhausted: clear it and resume the cell before.
-                for i in slots[k]:
-                    demand[i] -= counts[k]
-                counts[k] = 0
+                # Cell k is exhausted: resume the cell before.  A leaf sets
+                # every count on its path, so a stale counts[k] is never read.
                 if k == 0:
                     return
                 k -= 1
@@ -420,20 +414,19 @@ class _PartitionSearch:
                 if progress is not None:
                     advance(partition_count(rest, last - k) if k < last else 1)
                 continue
-            for i in slots[k]:
-                demand[i] += m - counts[k]
             counts[k] = m
             if k < last:
                 k += 1
-                left[k], bound[k], paid[k] = rest, child, paid[k - 1] + m * base[k - 1]
+                left[k], bound[k] = rest, child
                 m = rest + 1
                 continue
-            price = paid[k] + m * base[k]
-            for cell, ladder in bundles:
+            price = sum(map(mul, counts, base))
+            for cell, buying, ladder in bundles:
                 n_bundle = counts[cell]
                 if n_bundle:
-                    for pairs, discount in ladder:
-                        if all(demand[i] >= t for i, t in pairs):
+                    volume = [sum(map(count_of, item)) for item in buying]
+                    for thresholds, discount in ladder:
+                        if all(map(ge, volume, thresholds)):
                             price -= n_bundle * discount
                             break
             leaf(counts, price)

@@ -6,6 +6,7 @@ the search must follow; the other test modules import it from here.
 """
 
 import dataclasses
+import itertools
 import math
 import random
 
@@ -16,11 +17,13 @@ from gbb.generate import generate_instance
 from gbb.model import (
     Allocation,
     Buyer,
+    DiscountTier,
     Market,
     NULL_VENDOR,
     Vendor,
     group_partition,
     market_prices,
+    validate_market,
 )
 from gbb.swm import (
     BudgetExceeded,
@@ -145,8 +148,6 @@ def test_total_price_constant_across_assignments(fix_e2):
     )
     ids = [b.id for b in fix_e2.buyers]
     slots = [("s1", "s1"), ("s1", "s1"), ("s1", "s2")]
-    import itertools
-
     for perm in itertools.permutations(slots):
         alloc = Allocation(dict(zip(ids, perm)))
         paid = sum(market_prices(fix_e2, alloc).values())
@@ -442,11 +443,33 @@ def _with_random_tiers(rng, market):
     return Market.build(c=market.c, vendors=vendors, buyers=list(market.buyers))
 
 
+def _with_ladder(market, thresholds):
+    """The market with every real vendor's tiers at ``thresholds``, each
+    tier's bundle one unit cheaper than the one before."""
+    vendors = [
+        dataclasses.replace(
+            v,
+            tiers=tuple(
+                DiscountTier(t, v.base_bundle_price - i)
+                for i, t in enumerate(thresholds, start=1)
+            ),
+        )
+        for v in market.real_vendors
+    ]
+    return Market.build(c=market.c, vendors=vendors, buyers=list(market.buyers))
+
+
+# Ladders with a zero threshold component, which ``generate_instance`` never
+# draws, and the (buyers, vendors) shapes they are tried on per item count.
+_ZERO_THRESHOLD_LADDERS = (((2, 0), (3, 1)), ((0, 2, 1),), ((1, 0, 0), (2, 2, 0)))
+_LADDER_SHAPES = {2: ((6, 1), (4, 2)), 3: ((4, 1), (2, 2))}
+
+
 def test_search_leaf_price_is_total_price_on_every_composition():
     rng = random.Random(31)
     tier_counts = set()
-    checked = 0
-    while checked < 100:
+    markets = []
+    while len(markets) < 100:
         n, m, c = rng.randint(0, 6), rng.randint(1, 3), rng.randint(1, 3)
         if partition_count(n, (m + 1) ** c) > 3000:
             continue
@@ -454,15 +477,22 @@ def test_search_leaf_price_is_total_price_on_every_composition():
             rng, generate_instance(buyers=n, vendors=m, items=c, seed=rng.randrange(10**6))
         )
         tier_counts.update(len(v.tiers) for v in market.real_vendors)
+        markets.append(market)
+    assert tier_counts == {0, 1, 2}
+    for ladder in _ZERO_THRESHOLD_LADDERS:
+        c = len(ladder[0])
+        for (n, m), seed in itertools.product(_LADDER_SHAPES[c], (1, 2)):
+            market = _with_ladder(generate_instance(n, m, c, seed), ladder)
+            assert validate_market(market).ok
+            markets.append(market)
+    for market in markets:
         search = _RecordingSearch(market)
         search.run()
         assert [counts for counts, _ in search.leaves] == list(
-            enumerate_partitions(n, market.cell_count)
+            enumerate_partitions(len(market.buyers), market.cell_count)
         )
         for counts, price in search.leaves:
             assert price == total_price(market, counts)
-        checked += 1
-    assert tier_counts == {0, 1, 2}
 
 
 def _seeded_markets():
