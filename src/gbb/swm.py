@@ -4,9 +4,10 @@ The solver conditions on a *partition*: per-cell buyer counts, a tuple
 aligned with ``market.vendor_tuples`` (the cells).  For fixed counts the
 best assignment is a capacitated assignment problem.  A leaf's value comes
 from a dense Hungarian-style kernel over the leaf's open cells, those with
-``n_j > 0``, which also leaves cell prices that are LP duals
+``n_j > 0``, which also returns cell prices that are LP duals
 (``_AssignmentLayout``).  The winner's assignment comes from a min-cost
-max-flow on the partition's bipartite network.
+max-flow on the bipartite network between the buyers and the same open
+cells.
 
 A depth-first search covers every partition: the first cell's count runs
 down from N, then the search recurses on the remaining cells, so leaves
@@ -86,29 +87,33 @@ def partition_count(n_buyers: int, cells: int) -> int:
 
 class _AssignmentLayout:
     """One market's valuation table, and the best assignment of buyers to
-    cells for a partition's counts.
+    cells for a partition's counts.  Both ``value`` and ``solve`` see only
+    the partition's open cells, those with ``n_j > 0``: K′ ≤ min(N, K) of
+    the market's K cells.
 
     ``value`` finds a partition's assignment value with a dense assignment
     kernel, the capacitated form of the Hungarian shortest-augmenting-path
-    method (Kuhn 1955; Jonker & Volgenant 1987), on the open cells alone:
-    those with ``n_j > 0``.  It inserts the buyers one at a time.  Each
-    insertion is a Dijkstra without a heap over the K′ ≤ min(N, K) open
-    cells, in O(K′² + N·K′), and leaves an optimal assignment of the
+    method (Kuhn 1955; Jonker & Volgenant 1987).  It inserts the buyers
+    one at a time.  Each insertion is a Dijkstra without a heap over the
+    open cells, in O(K′² + N·K′), and leaves an optimal assignment of the
     buyers inserted so far together with cell prices ``λ_j`` that make
     every buyer's own cell one of its best: ``u_i = v_ij − λ_j`` for its
-    cell j and ``u_i ≥ v_ik − λ_k`` for every open cell k.  ``dual`` turns
-    those prices into the LP duals that the search's one leaf bound reads.
+    cell j and ``u_i ≥ v_ik − λ_k`` for every open cell k.  It returns
+    those prices, extended to the closed cells, as the LP dual that the
+    search's one leaf bound reads.
 
     ``solve`` builds the partition's flow network and solves it with
-    ``min_cost_max_flow``, for the assignment itself: with N buyers and K
-    cells, the source is node 0, buyer i is node ``1 + i``, cell j is node
-    ``1 + N + j`` and the sink is ``N + K + 1``.  Source->buyer edges have
-    unit capacity; buyer->cell edges, tagged ``(buyer id, choice)``, cost
-    ``ceiling`` less the valuation, where ``ceiling`` is the market's
-    largest valuation, so no cost is negative; cell->sink capacities are
-    the counts.  Every buyer crosses exactly one buyer->cell edge, so a
-    flow routing all N buyers is worth ``N * ceiling`` less its cost.  The
-    same valuations back ``value`` and ``dual``.
+    ``min_cost_max_flow``, for the assignment itself: with N buyers and K′
+    open cells, the source is node 0, buyer i is node ``1 + i``, the r-th
+    open cell in cell order is node ``1 + N + r`` and the sink is ``N + K′
+    + 1``.  Source->buyer edges have unit capacity; buyer->cell edges,
+    tagged ``(buyer id, choice)``, cost ``ceiling`` less the valuation,
+    where ``ceiling`` is the market's largest valuation, so no cost is
+    negative; cell->sink capacities are the counts.  Every buyer crosses
+    exactly one buyer->cell edge, so a flow routing all N buyers is worth
+    ``N * ceiling`` less its cost.  A closed cell's node would be a dead
+    end (sink capacity 0, no flow in), and the numbering keeps the nodes'
+    relative order, so the flow is that of the network over all K cells.
     """
 
     def __init__(self, market: Market) -> None:
@@ -119,21 +124,20 @@ class _AssignmentLayout:
         ]
         self.columns = list(zip(*values)) or [()] * len(market.vendor_tuples)
         self.ceiling = max((v for row in values for v in row), default=0)
-        # The last ``value`` call's counts, its open cells' prices and the
-        # buyers' utilities, for ``dual``.
-        self._kernel: tuple = ((), [], [])
 
     def network(self, counts: tuple[int, ...]) -> FlowNetwork:
-        """The partition's flow network; see the class docstring."""
+        """The partition's N·K′ + N + K′ edges; see the class docstring."""
         market, ceiling = self.market, self.ceiling
+        cells = [j for j, m in enumerate(counts) if m]
         n = len(self.values)
-        sink = n + len(counts) + 1
+        sink = n + len(cells) + 1
         nodes = range(n + 1, sink)
+        choices = [market.vendor_tuples[j] for j in cells]
         edges = [Edge(0, 1 + i, 1) for i in range(n)]
         for i, (buyer, row) in enumerate(zip(market.buyers, self.values)):
-            for choice, node, value in zip(market.vendor_tuples, nodes, row):
-                edges.append(Edge(1 + i, node, 1, ceiling - value, (buyer.id, choice)))
-        edges.extend(Edge(node, sink, m) for node, m in zip(nodes, counts))
+            for j, choice, node in zip(cells, choices, nodes):
+                edges.append(Edge(1 + i, node, 1, ceiling - row[j], (buyer.id, choice)))
+        edges.extend(Edge(node, sink, counts[j]) for node, j in zip(nodes, cells))
         return FlowNetwork(sink + 1, 0, sink, tuple(edges))
 
     def _routed(self, routed: int) -> None:
@@ -142,9 +146,10 @@ class _AssignmentLayout:
         if routed != n_buyers:
             raise RuntimeError(f"assignment routed {routed} of {n_buyers} buyers")
 
-    def value(self, counts: tuple[int, ...]) -> Money:
+    def value(self, counts: tuple[int, ...]) -> tuple[Money, tuple[Money, list[Money]]]:
         """Total valuation of the best assignment matching counts, from the
-        open-cell kernel; see the class docstring.
+        open-cell kernel (see the class docstring), and its LP dual
+        ``(C, λ)``.
 
         Buyer s is inserted at distance ``dist_j = u_s − (v_sj − λ_j)``
         from each open cell j, ``u_s`` being its best net value.  The
@@ -155,6 +160,13 @@ class _AssignmentLayout:
         being the target's distance, and the buyers on the path shift one
         cell on.  Raises RuntimeError when the counts sum to fewer than the
         buyers.
+
+        In the dual, an open cell keeps its kernel price; a closed cell j
+        gets ``λ_j = max_i (v_ij − u_i)``, or 0 without buyers, the least
+        price at which no buyer prefers it.  Then ``C = Σ_i u_i`` and every
+        buyer's utility is its best ``v_ij − λ_j`` over all cells, so by
+        weak LP duality every counts tuple n has ``value(n) ≤ C + Σ_j
+        λ_j·n_j``, with equality at ``counts``.
         """
         cells = [j for j, m in enumerate(counts) if m]
         free = [counts[j] for j in cells]
@@ -201,26 +213,12 @@ class _AssignmentLayout:
             members[j].append(s)
             cell_of.append(j)
         utility = [r[j] - lam[j] for r, j in zip(rows, cell_of)]
-        self._kernel = (counts, lam, utility)
-        return sum(r[j] for r, j in zip(rows, cell_of))
-
-    def dual(self) -> tuple[Money, list[Money]]:
-        """``(C, λ)`` from the cell prices of the last ``value`` call.
-
-        An open cell keeps its kernel price; a closed cell j gets ``λ_j =
-        max_i (v_ij − u_i)``, or 0 without buyers, the least price at which
-        no buyer prefers it.  Then ``C = Σ_i u_i`` and every buyer's
-        utility is its best ``v_ij − λ_j`` over all cells, so by weak LP
-        duality every counts tuple n has ``value(n) ≤ C + Σ_j λ_j·n_j``,
-        with equality at the counts of that call.
-        """
-        counts, lam, utility = self._kernel
         open_prices = iter(lam)
         prices = [
             next(open_prices) if m else max(map(sub, column, utility), default=0)
             for m, column in zip(counts, self.columns)
         ]
-        return sum(utility), prices
+        return sum(r[j] for r, j in zip(rows, cell_of)), (sum(utility), prices)
 
     def solve(self, counts: tuple[int, ...]) -> tuple[dict, Money]:
         """Assignment and total valuation for one partition's counts."""
@@ -447,9 +445,9 @@ class _PartitionSearch:
                 if total + sum([x * n for x, n in zip(lam, counts)]) < needed:
                     return
         key = tuple(counts)
-        value = layout.value(key)
+        value, dual = layout.value(key)
         self.flows += 1
-        self.duals.insert(0, layout.dual())
+        self.duals.insert(0, dual)
         del self.duals[4:]
         welfare = value - price
         # Leaves come in lexicographically descending order, so replacing

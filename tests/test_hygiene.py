@@ -1,5 +1,6 @@
-"""Source hygiene: no dead imports, no definition that only tests call, and
-every attribute the benchmark's tracer wraps still exists."""
+"""Source hygiene: no dead imports, no definition that only tests call,
+every attribute the benchmark's tracer wraps still exists, and the README's
+library example runs."""
 
 import ast
 import importlib
@@ -105,3 +106,11 @@ def test_every_src_definition_has_a_non_test_caller():
         and node.name not in TEST_ONLY_ALLOWED
     ]
     assert unreferenced == []
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    example = library.split("```python\n", 1)[1].split("\n```", 1)[0]
+    assert "certify(" in example
+    exec(compile(example, "README.md (Library)", "exec"), {})

@@ -170,8 +170,7 @@ def assignment_leaves(draw):
 def test_assignment_kernel_is_exact_and_its_duals_bound_every_partition(leaf):
     market, counts = leaf
     layout = _AssignmentLayout(market)
-    value = layout.value(counts)
-    total, lam = layout.dual()
+    value, (total, lam) = layout.value(counts)
     assert value == layout.solve(counts)[1]
     assert total + sum(x * c for x, c in zip(lam, counts)) == value
     n, k = len(market.buyers), market.cell_count
@@ -425,3 +424,31 @@ canonical_values = st.recursive(
 def test_canonical_json_is_json_dumps_with_indent_and_sorted_keys(value):
     expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
     assert to_canonical_json(value) == expected
+
+
+@st.composite
+def milp_markets(draw):
+    """Generated markets of the MILP sweep's shapes: (vendors, item types)
+    (2, 2), (2, 1) or (3, 1) with 1-30 buyers, or (3, 2) with 1-12, and
+    valuations and prices up to 3 or 20."""
+    shape = draw(st.sampled_from(((2, 2), (2, 1), (3, 1), (3, 2))))
+    return generate_instance(
+        buyers=draw(st.integers(1, 12 if shape == (3, 2) else 30)),
+        vendors=shape[0],
+        items=shape[1],
+        seed=draw(st.integers(0, 10**6)),
+        max_value=draw(st.sampled_from((3, 20))),
+    )
+
+
+def test_solve_swm_welfare_matches_the_milp_on_drawn_markets():
+    pytest.importorskip("scipy")
+    from tests.test_milp import milp_welfare
+
+    @settings(max_examples=100, deadline=None)
+    @given(milp_markets())
+    def check(market):
+        welfare = solve_swm(market, max_partitions=10**9).social_welfare
+        assert welfare == milp_welfare(market)
+
+    check()

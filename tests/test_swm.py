@@ -13,6 +13,7 @@ import random
 import pytest
 
 from gbb.documents import instance_from_dict, instance_to_dict
+from gbb.flow import Edge, FlowNetwork, min_cost_max_flow
 from gbb.generate import generate_instance
 from gbb.model import (
     Allocation,
@@ -96,20 +97,28 @@ def test_enumeration_matches_binomial_grid():
 
 
 def test_assignment_network_shape(fix_e1):
-    net = _AssignmentLayout(fix_e1).network(counts_of(fix_e1, {("s1", "s1"): 2}))
-    # source + 2 buyers + 9 tuples + sink
-    assert net.node_count == 13
+    layout = _AssignmentLayout(fix_e1)
+    net = layout.network(counts_of(fix_e1, {("s1", "s1"): 2}))
+    # source + 2 buyers + the one open tuple + sink
+    assert net.node_count == 5
     source_edges = [e for e in net.edges if e.tail == net.source]
     middle_edges = [e for e in net.edges if e.tag is not None]
     sink_edges = [e for e in net.edges if e.head == net.sink]
+    assert len(net.edges) == 2 * 1 + 2 + 1
     assert len(source_edges) == 2
-    assert len(middle_edges) == 18
-    assert len(sink_edges) == 9
+    assert len(middle_edges) == 2
+    assert [e.capacity for e in sink_edges] == [2]
     assert all(e.capacity == 1 and e.cost == 0 for e in source_edges)
-    assert {e.capacity for e in sink_edges} == {0, 2}
     # each cost is the largest valuation (b1's 10) less the buyer's own
     costs = {e.tag: e.cost for e in middle_edges}
     assert costs[("b1", ("s1", "s1"))] == 0
+    # A partition opening two other tuples gets only their nodes and edges.
+    net = layout.network(counts_of(fix_e1, {("s1", "s2"): 1, ("s2", "s2"): 1}))
+    assert (net.node_count, len(net.edges)) == (6, 2 * 2 + 2 + 2)
+    costs = {e.tag: e.cost for e in net.edges if e.tag is not None}
+    assert set(costs) == {
+        (b, cell) for b in ("b1", "b2") for cell in (("s1", "s2"), ("s2", "s2"))
+    }
     assert costs[("b1", ("s1", "s2"))] == 10
     assert costs[("b2", ("s2", "s2"))] == 2
 
@@ -568,9 +577,9 @@ def test_compiled_leaf_values_equal_cold_values(monkeypatch):
     compiled = _AssignmentLayout.value
 
     def recording(self, counts):
-        value = compiled(self, counts)
+        value, dual = compiled(self, counts)
         valued.append((counts, value))
-        return value
+        return value, dual
 
     monkeypatch.setattr(_AssignmentLayout, "value", recording)
     markets = _seeded_markets() + _tie_prone_markets(7, 40)
@@ -586,7 +595,39 @@ def test_compiled_leaf_values_equal_cold_values(monkeypatch):
     for market in markets[:24]:
         layout = _AssignmentLayout(market)
         for counts in enumerate_partitions(len(market.buyers), market.cell_count):
-            assert layout.value(counts) == layout.solve(counts)[1]
+            assert layout.value(counts)[0] == layout.solve(counts)[1]
+
+
+def _all_cell_network(layout, counts):
+    """The partition's flow network over every cell, closed ones included:
+    cell j is node ``1 + N + j`` and the sink is ``N + K + 1``."""
+    market, ceiling = layout.market, layout.ceiling
+    n = len(layout.values)
+    sink = n + len(counts) + 1
+    nodes = range(n + 1, sink)
+    edges = [Edge(0, 1 + i, 1) for i in range(n)]
+    for i, (buyer, row) in enumerate(zip(market.buyers, layout.values)):
+        for choice, node, value in zip(market.vendor_tuples, nodes, row):
+            edges.append(Edge(1 + i, node, 1, ceiling - value, (buyer.id, choice)))
+    edges.extend(Edge(node, sink, m) for node, m in zip(nodes, counts))
+    return FlowNetwork(sink + 1, 0, sink, tuple(edges))
+
+
+def test_open_cell_flow_equals_the_all_cell_flow():
+    # Closed cells are dead ends of the all-cell network, and the open-cell
+    # numbering keeps the nodes' relative order, so the two flows route
+    # every buyer alike, ties included.
+    markets = _seeded_markets() + [_tie_heavy_market(30)] + _tie_prone_markets(7, 40)
+    flows = 0
+    for market in markets:
+        layout = _AssignmentLayout(market)
+        n = len(market.buyers)
+        for counts in enumerate_partitions(n, market.cell_count):
+            flow = min_cost_max_flow(_all_cell_network(layout, counts))
+            choice = {tag[0]: tag[1] for tag, f in flow.tagged() if f > 0}
+            assert layout.solve(counts) == (choice, n * layout.ceiling - flow.cost)
+            flows += 1
+    assert flows == 7903
 
 
 class _DualSkipSearch(_PartitionSearch):
@@ -628,8 +669,11 @@ def test_solve_swm_refuses_a_winner_its_cold_flow_disagrees_with(
     fix_e2, monkeypatch
 ):
     compiled = _AssignmentLayout.value
-    monkeypatch.setattr(
-        _AssignmentLayout, "value", lambda self, counts: compiled(self, counts) + 1
-    )
+
+    def overvalued(self, counts):
+        value, dual = compiled(self, counts)
+        return value + 1, dual
+
+    monkeypatch.setattr(_AssignmentLayout, "value", overvalued)
     with pytest.raises(RuntimeError, match="in its own flow but"):
         solve_swm(fix_e2)
