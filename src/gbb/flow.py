@@ -5,8 +5,9 @@ negative one.
 
 The solvers are deterministic by construction: augmenting paths are
 shortest-first with ties resolved by edge insertion order, so identical
-networks always produce identical flows (and identical downstream
-transfer matrices and allocations).
+networks always produce identical flows.  ``max_flow`` routes the group
+transfers; ``min_cost_max_flow`` is the tests' reference for the SWM
+assignment kernel, and no allocation comes from it.
 """
 
 from __future__ import annotations

@@ -4,10 +4,9 @@ The solver conditions on a *partition*: per-cell buyer counts, a tuple
 aligned with ``market.vendor_tuples`` (the cells).  For fixed counts the
 best assignment is a capacitated assignment problem.  A leaf's value comes
 from a dense Hungarian-style kernel over the leaf's open cells, those with
-``n_j > 0``, which also returns cell prices that are LP duals
-(``_AssignmentLayout``).  The winner's assignment comes from a min-cost
-max-flow on the bipartite network between the buyers and the same open
-cells.
+``n_j > 0``, which also returns the assignment it built and cell prices
+that are LP duals (``_AssignmentLayout``).  The winner keeps the
+assignment of the kernel run that valued it.
 
 A depth-first search covers every partition: the first cell's count runs
 down from N, then the search recurses on the remaining cells, so leaves
@@ -29,19 +28,19 @@ their lowest possible prices, plus the ``r`` best such values over the
 open cells, fall strictly below the incumbent.  Every bound skips only
 what is strictly below the incumbent, so the welfare and the chosen
 partition are those of valuing every leaf.  The incumbent holds the
-welfare and the counts; once the search ends, one flow on the winner's own
-network gives the assignment, so ties between equal-value assignments
-resolve as that flow resolves them.  The search runs in one process, so
-every bound compares against the best leaf of the whole order found so
-far.
+welfare and the kernel's assignment, so ties between equal-value
+assignments resolve as the kernel inserts buyers: in id order, each along
+a shortest augmenting path, taking the first cell in cell order on equal
+distances.  No flow runs during the search or after it.  The search runs
+in one process, so every bound compares against the best leaf of the
+whole order found so far.
 
 ``SwmResult.partitions_evaluated`` counts partitions covered, priced or
 ruled out with their subtree, so it always equals ``partition_count``; it
 is the result's one partition counter.  ``partitions_priced`` counts
 leaves priced, and ``flows_solved`` the leaves whose exact value the
-kernel computed (the winner's flow after the search is not counted).
-A brute-force enumerator over whole allocations serves as the independent
-oracle at desk scale.
+kernel computed.  A brute-force enumerator over whole allocations serves
+as the independent oracle at desk scale.
 """
 
 from __future__ import annotations
@@ -89,7 +88,8 @@ class _AssignmentLayout:
     """One market's valuation table, and the best assignment of buyers to
     cells for a partition's counts.  Both ``value`` and ``solve`` see only
     the partition's open cells, those with ``n_j > 0``: K′ ≤ min(N, K) of
-    the market's K cells.
+    the market's K cells.  The search runs ``value`` alone; ``solve`` is
+    the independent reference that the tests check the kernel against.
 
     ``value`` finds a partition's assignment value with a dense assignment
     kernel, the capacitated form of the Hungarian shortest-augmenting-path
@@ -99,20 +99,20 @@ class _AssignmentLayout:
     buyers inserted so far together with cell prices ``λ_j`` that make
     every buyer's own cell one of its best: ``u_i = v_ij − λ_j`` for its
     cell j and ``u_i ≥ v_ik − λ_k`` for every open cell k.  It returns
-    those prices, extended to the closed cells, as the LP dual that the
-    search's one leaf bound reads.
+    the assignment, and those prices, extended to the closed cells, as the
+    LP dual that the search's one leaf bound reads.
 
     ``solve`` builds the partition's flow network and solves it with
-    ``min_cost_max_flow``, for the assignment itself: with N buyers and K′
-    open cells, the source is node 0, buyer i is node ``1 + i``, the r-th
-    open cell in cell order is node ``1 + N + r`` and the sink is ``N + K′
-    + 1``.  Source->buyer edges have unit capacity; buyer->cell edges,
-    tagged ``(buyer id, choice)``, cost ``ceiling`` less the valuation,
-    where ``ceiling`` is the market's largest valuation, so no cost is
-    negative; cell->sink capacities are the counts.  Every buyer crosses
-    exactly one buyer->cell edge, so a flow routing all N buyers is worth
-    ``N * ceiling`` less its cost.  A closed cell's node would be a dead
-    end (sink capacity 0, no flow in), and the numbering keeps the nodes'
+    ``min_cost_max_flow``: with N buyers and K′ open cells, the source is
+    node 0, buyer i is node ``1 + i``, the r-th open cell in cell order is
+    node ``1 + N + r`` and the sink is ``N + K′ + 1``.  Source->buyer
+    edges have unit capacity; buyer->cell edges, tagged ``(buyer id,
+    choice)``, cost ``ceiling`` less the valuation, where ``ceiling`` is
+    the market's largest valuation, so no cost is negative; cell->sink
+    capacities are the counts.  Every buyer crosses exactly one
+    buyer->cell edge, so a flow routing all N buyers is worth ``N *
+    ceiling`` less its cost.  A closed cell's node would be a dead end
+    (sink capacity 0, no flow in), and the numbering keeps the nodes'
     relative order, so the flow is that of the network over all K cells.
     """
 
@@ -146,10 +146,12 @@ class _AssignmentLayout:
         if routed != n_buyers:
             raise RuntimeError(f"assignment routed {routed} of {n_buyers} buyers")
 
-    def value(self, counts: tuple[int, ...]) -> tuple[Money, tuple[Money, list[Money]]]:
+    def value(
+        self, counts: tuple[int, ...]
+    ) -> tuple[Money, tuple[Money, list[Money]], list[int]]:
         """Total valuation of the best assignment matching counts, from the
-        open-cell kernel (see the class docstring), and its LP dual
-        ``(C, λ)``.
+        open-cell kernel (see the class docstring), its LP dual ``(C, λ)``
+        and the assignment: one cell index per buyer, in buyer order.
 
         Buyer s is inserted at distance ``dist_j = u_s − (v_sj − λ_j)``
         from each open cell j, ``u_s`` being its best net value.  The
@@ -158,8 +160,10 @@ class _AssignmentLayout:
         relaxes the other unscanned cells j to ``dist_t + u_i − (v_ij −
         λ_j)``.  Every scanned cell's price then rises by ``D − dist_j``, D
         being the target's distance, and the buyers on the path shift one
-        cell on.  Raises RuntimeError when the counts sum to fewer than the
-        buyers.
+        cell on.  Buyers go in by index (id order), and a cell's predecessor
+        is the first member to lower its distance; these first-in-order
+        choices break ties between equal-value assignments.  Raises
+        RuntimeError when the counts sum to fewer than the buyers.
 
         In the dual, an open cell keeps its kernel price; a closed cell j
         gets ``λ_j = max_i (v_ij − u_i)``, or 0 without buyers, the least
@@ -218,7 +222,8 @@ class _AssignmentLayout:
             next(open_prices) if m else max(map(sub, column, utility), default=0)
             for m, column in zip(counts, self.columns)
         ]
-        return sum(r[j] for r, j in zip(rows, cell_of)), (sum(utility), prices)
+        value = sum(r[j] for r, j in zip(rows, cell_of))
+        return value, (sum(utility), prices), [cells[j] for j in cell_of]
 
     def solve(self, counts: tuple[int, ...]) -> tuple[dict, Money]:
         """Assignment and total valuation for one partition's counts."""
@@ -263,9 +268,9 @@ def solve_swm(
     incumbent; only leaves whose own bounds reach the incumbent are
     valued.  Equal-welfare ties resolve to the lexicographically
     smallest counts tuple, which the allocation determines; the winner's
-    assignment comes from one flow on its own network after the search, so
-    results are reproducible run to run.  Raises RuntimeError if that flow
-    values the winner differently from the search.
+    assignment is the one the kernel built when it valued that leaf, and
+    equal-value assignments resolve in the kernel's insertion order (see
+    the module docstring), so results are reproducible run to run.
     ``progress(covered, total)`` fires once per 1 000 partitions covered.
 
     The search runs in one process.  Raises BudgetExceeded, before any
@@ -293,13 +298,8 @@ def solve_swm(
 
     search = _PartitionSearch(market)
     search.run(progress)
-    welfare, counts, value = search.best
-    choice, cold = search.layout.solve(counts)
-    if cold != value:
-        raise RuntimeError(
-            f"partition {counts} is worth {cold} in its own flow but {value} "
-            "in the search"
-        )
+    welfare, assignment = search.best
+    choice = {b.id: market.vendor_tuples[j] for b, j in zip(market.buyers, assignment)}
     return SwmResult(
         allocation=Allocation(choice=choice),
         social_welfare=welfare,
@@ -435,7 +435,6 @@ class _PartitionSearch:
         """Price-known leaf: value it unless a bound rules it out."""
         self.priced += 1
         best = self.best
-        layout = self.layout
         if best is not None:
             # Beating the incumbent needs an assignment worth ``needed``; the
             # leaf is skipped only when a kept dual's bound is strictly below
@@ -444,8 +443,7 @@ class _PartitionSearch:
             for total, lam in self.duals:
                 if total + sum([x * n for x, n in zip(lam, counts)]) < needed:
                     return
-        key = tuple(counts)
-        value, dual = layout.value(key)
+        value, dual, assignment = self.layout.value(tuple(counts))
         self.flows += 1
         self.duals.insert(0, dual)
         del self.duals[4:]
@@ -454,7 +452,7 @@ class _PartitionSearch:
         # the incumbent on equal welfare leaves the lexicographically
         # smallest partition as the winner.
         if best is None or welfare >= best[0]:
-            self.best = (welfare, key, value)
+            self.best = (welfare, assignment)
 
 
 def brute_force_swm(

@@ -16,10 +16,12 @@ from gbb.flow import Edge, FlowNetwork, max_flow, min_cost_max_flow  # noqa: E40
 from gbb.generate import generate_instance  # noqa: E402
 from gbb.model import (  # noqa: E402
     Buyer,
+    DiscountTier,
     GroupPartition,
     ITEM_TYPES_LIMIT,
     Market,
     NULL_VENDOR,
+    Vendor,
     group_partition,
 )
 from gbb.documents import instance_to_dict, to_canonical_json  # noqa: E402
@@ -43,7 +45,7 @@ from tests.test_model import (  # noqa: E402
     reference_surplus,
     reference_utility,
 )
-from tests.test_swm import enumerate_partitions  # noqa: E402
+from tests.test_swm import assert_assignment_fits, enumerate_partitions  # noqa: E402
 
 
 @st.composite
@@ -170,8 +172,10 @@ def assignment_leaves(draw):
 def test_assignment_kernel_is_exact_and_its_duals_bound_every_partition(leaf):
     market, counts = leaf
     layout = _AssignmentLayout(market)
-    value, (total, lam) = layout.value(counts)
-    assert value == layout.solve(counts)[1]
+    value, (total, lam), assignment = layout.value(counts)
+    cold = layout.solve(counts)[1]
+    assert value == cold
+    assert_assignment_fits(layout, counts, assignment, cold)
     assert total + sum(x * c for x, c in zip(lam, counts)) == value
     n, k = len(market.buyers), market.cell_count
     if partition_count(n, k) <= 120:
@@ -198,6 +202,60 @@ def test_post_stage_certifies_every_welfare_maximal_solution(market):
         expected = {b: reference(market, alloc, b) for b in market.buyer_ids}
         assert getattr(gp, field) == expected, field
     assert sum(gp.utility.values()) == result.social_welfare
+
+
+def _scaled(market, k):
+    """The market with every valuation, base price and bundle price times
+    ``k``, and every threshold kept."""
+    vendors = [
+        Vendor(
+            v.id,
+            tuple(k * p for p in v.base_prices),
+            tuple(DiscountTier(t.thresholds, k * t.bundle_price) for t in v.tiers),
+        )
+        for v in market.vendors
+    ]
+    buyers = [
+        Buyer(b.id, {cell: k * x for cell, x in b.valuations.items()})
+        for b in market.buyers
+    ]
+    return Market.build(c=market.c, vendors=vendors, buyers=buyers)
+
+
+def _solved(market):
+    """The welfare, allocation, group transfers and final prices of
+    ``market`` through the whole pipeline."""
+    result = solve_swm(market)
+    alloc = result.allocation
+    gp = group_partition(market, alloc)
+    gt = solve_group_transfers(market, alloc, gp)
+    matrix = fair_buyer_transfers(market, alloc, gp, gt)
+    prices = prices_from_transfers(market, alloc, matrix)
+    final = {b: entry.final for b, entry in prices.entries.items()}
+    return result.social_welfare, alloc.choice, dict(gt.entries), final
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 3),
+    st.integers(1, 2),
+    st.integers(0, 10**6),
+    st.sampled_from((2, 3, 6, 20)),
+    st.integers(2, 5),
+)
+def test_scaling_every_amount_by_k_scales_the_solution_by_k(
+    buyers, vendors, items, seed, max_value, k
+):
+    # Thresholds count buyers, so they stay; every comparison the search,
+    # the kernel and the transfer flow make scales by k, ties included.
+    market = generate_instance(buyers, vendors, items, seed, max_value=max_value)
+    welfare, choice, transfers, final = _solved(market)
+    scaled = _solved(_scaled(market, k))
+    assert scaled[0] == k * welfare
+    assert scaled[1] == choice
+    assert scaled[2] == {key: k * amount for key, amount in transfers.items()}
+    assert scaled[3] == {b: k * price for b, price in final.items()}
 
 
 @st.composite

@@ -5,6 +5,7 @@ A partition is a tuple of per-cell buyer counts aligned with
 the search must follow; the other test modules import it from here.
 """
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -61,6 +62,14 @@ def enumerate_partitions(n_buyers, cells):
         counts[j] -= 1
         counts[cells - 1] = 0
         counts[j + 1] = carried
+
+
+def assert_assignment_fits(layout, counts, assignment, value):
+    """``assignment``, one cell index per buyer, puts exactly ``counts[j]``
+    buyers in cell j and its valuations sum to ``value``."""
+    assert len(assignment) == len(layout.values)
+    assert [assignment.count(j) for j in range(len(counts))] == list(counts)
+    assert sum(row[j] for row, j in zip(layout.values, assignment)) == value
 
 
 def counts_of(market, by_cell):
@@ -542,7 +551,7 @@ def _tie_prone_markets(seed, count):
     return markets
 
 
-def test_one_cold_flow_per_solve(monkeypatch):
+def test_solve_swm_runs_no_flow(monkeypatch):
     import gbb.swm
 
     calls, built = [], []
@@ -563,11 +572,11 @@ def test_one_cold_flow_per_solve(monkeypatch):
     for market in [empty, tie_heavy] + _seeded_markets():
         calls.clear()
         built.clear()
-        res = solve_swm(market)
-        # The winner's network is built, and its edges validated, once.
-        assert len(calls) == len(built) == 1
-    # Every leaf of the tie-heavy market ties, so every one gets a flow, and
-    # the cold solve after the search is not counted among them.
+        solve_swm(market)
+        # The winner keeps the kernel's assignment: no network is built and
+        # no flow is solved, during the search or after it.
+        assert calls == built == []
+    # Every leaf of the tie-heavy market ties, so the kernel values every one.
     res = solve_swm(tie_heavy)
     assert res.partitions_priced == res.flows_solved == 31
 
@@ -577,9 +586,9 @@ def test_compiled_leaf_values_equal_cold_values(monkeypatch):
     compiled = _AssignmentLayout.value
 
     def recording(self, counts):
-        value, dual = compiled(self, counts)
-        valued.append((counts, value))
-        return value, dual
+        value, dual, assignment = compiled(self, counts)
+        valued.append((counts, value, assignment))
+        return value, dual, assignment
 
     monkeypatch.setattr(_AssignmentLayout, "value", recording)
     markets = _seeded_markets() + _tie_prone_markets(7, 40)
@@ -588,14 +597,36 @@ def test_compiled_leaf_values_equal_cold_values(monkeypatch):
         res = solve_swm(market)
         assert len(valued) == res.flows_solved
         layout = _AssignmentLayout(market)
-        for counts, value in valued:
-            assert value == layout.solve(counts)[1]
+        for counts, value, assignment in valued:
+            cold = layout.solve(counts)[1]
+            assert value == cold
+            assert_assignment_fits(layout, counts, assignment, cold)
     # One layout's kernel valuing partition after partition, in search
     # order, against a fresh flow for each.
     for market in markets[:24]:
         layout = _AssignmentLayout(market)
         for counts in enumerate_partitions(len(market.buyers), market.cell_count):
-            assert layout.value(counts)[0] == layout.solve(counts)[1]
+            value, _, assignment = layout.value(counts)
+            cold = layout.solve(counts)[1]
+            assert value == cold
+            assert_assignment_fits(layout, counts, assignment, cold)
+
+
+def test_the_allocation_is_the_winners_reference_assignment():
+    # The reference flow on the winner's counts breaks ties between
+    # equal-value assignments by edge insertion order, the kernel by buyer
+    # insertion order; on these tie-prone markets the two pick alike.
+    markets = (
+        _seeded_markets()
+        + _tie_prone_markets(7, 40)
+        + _tie_prone_markets(11, 150)
+        + [_tie_heavy_market(30)]
+    )
+    assert len(markets) == 215
+    for market in markets:
+        choice = solve_swm(market).allocation.choice
+        counts = counts_of(market, collections.Counter(choice.values()))
+        assert choice == _AssignmentLayout(market).solve(counts)[0]
 
 
 def _all_cell_network(layout, counts):
@@ -663,17 +694,3 @@ def test_dual_bound_leaves_few_flows_at_twenty_buyers():
     assert res.social_welfare == 103
     assert res.partitions_priced == 2426
     assert res.flows_solved <= 60
-
-
-def test_solve_swm_refuses_a_winner_its_cold_flow_disagrees_with(
-    fix_e2, monkeypatch
-):
-    compiled = _AssignmentLayout.value
-
-    def overvalued(self, counts):
-        value, dual = compiled(self, counts)
-        return value + 1, dual
-
-    monkeypatch.setattr(_AssignmentLayout, "value", overvalued)
-    with pytest.raises(RuntimeError, match="in its own flow but"):
-        solve_swm(fix_e2)
