@@ -35,12 +35,23 @@ distances.  No flow runs during the search or after it.  The search runs
 in one process, so every bound compares against the best leaf of the
 whole order found so far.
 
+``solve_swm`` seeds the incumbent before the search starts.  A tier class
+fixes one tier, or none, per tiered vendor and so fixes every cell's
+price.  Per class, each buyer takes its best cell at those prices, and the
+counts this gives are priced truthfully with the leaves' own fold.  The
+best welfare over the classes is that of a real allocation, so it is at
+most the optimum: every leaf at or above it is still valued, and the
+winner, its assignment and the tie rule are those of an unseeded search.
+Past ``_SEED_CLASSES`` classes only the class without discounts and the
+class at every vendor's highest tier are tried.
+
 ``SwmResult.partitions_evaluated`` counts partitions covered, priced or
 ruled out with their subtree, so it always equals ``partition_count``; it
 is the result's one partition counter.  ``partitions_priced`` counts
 leaves priced, and ``flows_solved`` the leaves whose exact value the
-kernel computed.  A brute-force enumerator over whole allocations serves
-as the independent oracle at desk scale.
+kernel computed; the seed's pricings count in neither.  A brute-force
+enumerator over whole allocations serves as the independent oracle at
+desk scale.
 """
 
 from __future__ import annotations
@@ -57,6 +68,8 @@ from .model import Allocation, Market, Money, cell_prices
 
 DEFAULT_PARTITION_CAP = 5_000_000
 DEFAULT_ALLOCATION_CAP = 1_000_000
+#: Most tier classes the search's seed tries; see ``_PartitionSearch.seed``.
+_SEED_CLASSES = 256
 
 
 def count_text(count: int) -> str:
@@ -264,13 +277,17 @@ def solve_swm(
 
     A depth-first search covers the count tuples in reverse lexicographic
     order, prices each leaf it reaches from the leaf's own counts and
-    skips every subtree whose welfare bound is below the
-    incumbent; only leaves whose own bounds reach the incumbent are
-    valued.  Equal-welfare ties resolve to the lexicographically
-    smallest counts tuple, which the allocation determines; the winner's
-    assignment is the one the kernel built when it valued that leaf, and
-    equal-value assignments resolve in the kernel's insertion order (see
-    the module docstring), so results are reproducible run to run.
+    skips every subtree whose welfare bound is below the incumbent; only
+    leaves whose own bounds reach the incumbent are valued.  The
+    incumbent starts at the best allocation over the tier classes, at
+    most ``_SEED_CLASSES`` of them (see the module docstring), which
+    changes only how much the search skips; the seed's pricings are not
+    counted in ``partitions_priced`` or ``flows_solved``.  Equal-welfare
+    ties resolve to the lexicographically smallest counts tuple, which the
+    allocation determines; the winner's assignment is the one the kernel
+    built when it valued that leaf, and equal-value assignments resolve in
+    the kernel's insertion order (see the module docstring), so results
+    are reproducible run to run.
     ``progress(covered, total)`` fires once per 1 000 partitions covered.
 
     The search runs in one process.  Raises BudgetExceeded, before any
@@ -297,6 +314,7 @@ def solve_swm(
         raise BudgetExceeded(cells, max_partitions, what="cells")
 
     search = _PartitionSearch(market)
+    search.best = search.seed()
     search.run(progress)
     welfare, assignment = search.best
     choice = {b.id: market.vendor_tuples[j] for b, j in zip(market.buyers, assignment)}
@@ -325,7 +343,10 @@ class _PartitionSearch:
         c = market.c
         n = len(market.buyers)
         tiered = [v for v in market.real_vendors if v.tiers]
-        self.base = [market.base_price(choice) for choice in cells]
+        # Cells are the product of the vendors per item, so their base
+        # prices are the sums over the product of the per-item price columns.
+        columns = [[v.base_prices[k] for v in market.vendors] for k in range(c)]
+        self.base = list(map(sum, itertools.product(*columns)))
         # Per tiered vendor and item, the cells that buy that item from it.
         buying = {v.id: [[] for _ in range(c)] for v in tiered}
         for j, choice in enumerate(cells):
@@ -373,15 +394,14 @@ class _PartitionSearch:
         The search keeps an explicit stack, one level per cell, so that its
         depth is not bounded by Python's recursion limit.
         """
-        base, adj, suffix = self.base, self.adj, self.suffix
-        bundles, leaf = self.bundles, self._leaf
-        last = len(base) - 1
-        counts = [0] * len(base)
-        count_of = counts.__getitem__
+        adj, suffix = self.adj, self.suffix
+        price, leaf = self._price, self._leaf
+        last = len(adj) - 1
+        counts = [0] * len(adj)
         # Per level k, over the cells before k: buyers left and the sum of
         # their adj entries.
         left = [len(self.layout.market.buyers)] + [0] * last
-        bound = [0] * len(base)
+        bound = [0] * len(adj)
         # Progress bookkeeping runs only when a hook is given.
         total = 0 if progress is None else partition_count(left[0], last + 1)
         pos = 0  # compositions covered so far
@@ -418,18 +438,83 @@ class _PartitionSearch:
                 left[k], bound[k] = rest, child
                 m = rest + 1
                 continue
-            price = sum(map(mul, counts, base))
-            for cell, buying, ladder in bundles:
-                n_bundle = counts[cell]
-                if n_bundle:
-                    volume = [sum(map(count_of, item)) for item in buying]
-                    for thresholds, discount in ladder:
-                        if all(map(ge, volume, thresholds)):
-                            price -= n_bundle * discount
-                            break
-            leaf(counts, price)
+            leaf(counts, price(counts))
             if progress is not None:
                 advance(1)
+
+    def _price(self, counts: list[int]) -> Money:
+        """The total price of ``counts``, folded as the module docstring
+        says: the base prices less each triggered bundle discount."""
+        price = sum(map(mul, counts, self.base))
+        count_of = counts.__getitem__
+        for cell, buying, ladder in self.bundles:
+            n_bundle = counts[cell]
+            if n_bundle:
+                volume = [sum(map(count_of, item)) for item in buying]
+                for thresholds, discount in ladder:
+                    if all(map(ge, volume, thresholds)):
+                        price -= n_bundle * discount
+                        break
+        return price
+
+    def seed(self) -> tuple[Money, list[int]]:
+        """The welfare and assignment of the best tier-class allocation,
+        the search's first incumbent; see the module docstring.
+
+        Under a class, a buyer takes its best cell at base prices, the
+        first in cell order on a tie, unless a full-bundle cell at the
+        class's discount is strictly better.  Classes that give the same
+        allocation are priced once.
+        """
+        base, values = self.base, self.layout.values
+        bundle_cells = [cell for cell, _, _ in self.bundles]
+        # Per tiered vendor: no discount, then each tier's, highest first.
+        ladders = [[0] + [d for _, d in ladder] for _, _, ladder in self.bundles]
+        if math.prod(map(len, ladders)) <= _SEED_CLASSES:
+            classes = itertools.product(*ladders)
+        else:
+            classes = [[0] * len(ladders), [ladder[1] for ladder in ladders]]
+        # Each buyer's cell at base prices and, for the buyers whom some
+        # class moves, their best net value there and the bundle cells the
+        # vendor's highest tier makes strictly better.
+        home, movers = [], []
+        for i, row in enumerate(values):
+            net = list(map(sub, row, base))
+            top = max(net)
+            home.append(net.index(top))
+            options = [
+                (s, cell, net[cell])
+                for s, (cell, ladder) in enumerate(zip(bundle_cells, ladders))
+                if net[cell] + ladder[1] > top
+            ]
+            if options:
+                movers.append((i, top, options))
+        best, seen = None, set()
+        for discounts in classes:
+            moves = []
+            for i, top, options in movers:
+                j = home[i]
+                for s, cell, net in options:
+                    net += discounts[s]
+                    if net > top:
+                        top, j = net, cell
+                if j != home[i]:
+                    moves.append((i, j))
+            key = tuple(moves)
+            if key in seen:
+                continue
+            seen.add(key)
+            assignment = list(home)
+            for i, j in moves:
+                assignment[i] = j
+            counts = [0] * len(base)
+            for j in assignment:
+                counts[j] += 1
+            welfare = sum(map(list.__getitem__, values, assignment))
+            welfare -= self._price(counts)
+            if best is None or welfare > best[0]:
+                best = (welfare, assignment)
+        return best
 
     def _leaf(self, counts: list[int], price: Money) -> None:
         """Price-known leaf: value it unless a bound rules it out."""

@@ -692,5 +692,89 @@ def test_dual_bound_skips_only_leaves_strictly_below_the_incumbent():
 def test_dual_bound_leaves_few_flows_at_twenty_buyers():
     res = solve_swm(generate_instance(buyers=20, vendors=2, items=2, seed=1))
     assert res.social_welfare == 103
-    assert res.partitions_priced == 2426
+    # 2 426 without the seeded incumbent; an unseeded search prices that many.
+    assert res.partitions_priced == 1784
     assert res.flows_solved <= 60
+
+
+def _unseeded(market):
+    """The search's winner and counters without the seed's incumbent."""
+    search = _PartitionSearch(market)
+    search.run()
+    welfare, assignment = search.best
+    choice = {b.id: market.vendor_tuples[j] for b, j in zip(market.buyers, assignment)}
+    return welfare, choice, search.priced
+
+
+def test_the_seed_is_a_real_allocation_and_changes_no_result():
+    rng = random.Random(13)
+    sweep = []
+    while len(sweep) < 120:
+        n, m, c = rng.randint(0, 8), rng.randint(1, 4), rng.randint(1, 3)
+        if partition_count(n, (m + 1) ** c) > 5000:
+            continue
+        sweep.append(
+            generate_instance(
+                buyers=n,
+                vendors=m,
+                items=c,
+                seed=rng.randrange(10**6),
+                max_value=rng.choice((2, 3, 6, 20)),
+            )
+        )
+    markets = (
+        _seeded_markets()
+        + _tie_prone_markets(7, 40)
+        + [_tie_heavy_market(30)]
+        + sweep
+    )
+    seeded_below = 0
+    for market in markets:
+        search = _PartitionSearch(market)
+        seed_welfare, assignment = search.seed()
+        counts = tuple(assignment.count(j) for j in range(market.cell_count))
+        value = sum(row[j] for row, j in zip(search.layout.values, assignment))
+        assert seed_welfare == value - total_price(market, counts)
+        welfare, choice, priced = _unseeded(market)
+        assert seed_welfare <= welfare
+        seeded_below += seed_welfare < welfare
+        res = solve_swm(market)
+        assert res.social_welfare == welfare
+        assert res.allocation.choice == choice
+        assert res.partitions_evaluated == partition_count(
+            len(market.buyers), market.cell_count
+        )
+        # The seeded incumbent is never below the unseeded one, so no
+        # subtree the unseeded search skips is entered.
+        assert res.partitions_priced <= priced
+    # The seed is below the optimum in 23 of these 185 markets, so the
+    # search's own improvements are exercised too.
+    assert seeded_below >= 20
+
+
+def test_the_seed_caps_its_tier_classes():
+    import gbb.swm
+
+    class Counting(_PartitionSearch):
+        def __init__(self, market):
+            super().__init__(market)
+            self.prices = 0
+
+        def _price(self, counts):
+            self.prices += 1
+            return super()._price(counts)
+
+    # 31 tiered vendors: at least 2^31 classes, so only two are tried.
+    market = generate_instance(buyers=1, vendors=31, items=2, seed=3)
+    search = Counting(market)
+    classes = math.prod(len(ladder) + 1 for _, _, ladder in search.bundles)
+    assert classes >= 2**31 > gbb.swm._SEED_CLASSES
+    search.seed()
+    assert 1 <= search.prices <= 2
+    # Under the cap, every class is tried, but each allocation priced once.
+    market = generate_instance(buyers=6, vendors=3, items=2, seed=4)
+    search = Counting(market)
+    classes = math.prod(len(ladder) + 1 for _, _, ladder in search.bundles)
+    assert 8 <= classes <= gbb.swm._SEED_CLASSES
+    search.seed()
+    assert 1 <= search.prices <= classes
