@@ -31,6 +31,7 @@ from gbb.swm import (
     BudgetExceeded,
     _AssignmentLayout,
     _PartitionSearch,
+    _SEED_CLASSES,
     brute_force_swm,
     partition_count,
     solve_swm,
@@ -753,8 +754,6 @@ def test_the_seed_is_a_real_allocation_and_changes_no_result():
 
 
 def test_the_seed_caps_its_tier_classes():
-    import gbb.swm
-
     class Counting(_PartitionSearch):
         def __init__(self, market):
             super().__init__(market)
@@ -768,13 +767,13 @@ def test_the_seed_caps_its_tier_classes():
     market = generate_instance(buyers=1, vendors=31, items=2, seed=3)
     search = Counting(market)
     classes = math.prod(len(ladder) + 1 for _, _, ladder in search.bundles)
-    assert classes >= 2**31 > gbb.swm._SEED_CLASSES
+    assert classes >= 2**31 > _SEED_CLASSES
     search.seed()
     assert 1 <= search.prices <= 2
     # Under the cap, every class is tried, but each allocation priced once.
     market = generate_instance(buyers=6, vendors=3, items=2, seed=4)
     search = Counting(market)
     classes = math.prod(len(ladder) + 1 for _, _, ladder in search.bundles)
-    assert 8 <= classes <= gbb.swm._SEED_CLASSES
+    assert 8 <= classes <= _SEED_CLASSES
     search.seed()
     assert 1 <= search.prices <= classes
