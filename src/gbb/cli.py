@@ -173,6 +173,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _stored_mismatch(
+    b: str, field: str, value: object, derived: object
+) -> DocumentError:
+    return DocumentError(f"buyer {b}: stored {field} {value} != derived {derived}")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     """Check a stored solution's fields against one ``group_partition`` of
     its instance, then certify its own price vector."""
@@ -189,16 +195,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise DocumentError(str(exc)) from exc
     for b in market.buyer_ids:
         entry = stored[b]
-        for field, value, derived in (
-            ("market_price", entry.market_price, gp.market_price[b]),
-            ("final_price", entry.final, gp.market_price[b] + entry.delta),
-            ("utility", solution.utilities[b], gp.utility[b]),
-            ("surplus", solution.surpluses[b], gp.surplus[b]),
-        ):
-            if value != derived:
-                raise DocumentError(
-                    f"buyer {b}: stored {field} {value} != derived {derived}"
-                )
+        base, delta, final = gp.market_price[b], entry.delta, entry.final
+        if entry.market_price != base:
+            raise _stored_mismatch(b, "market_price", entry.market_price, base)
+        # The read delta ``n/d`` is in lowest terms, so ``base + n/d`` is
+        # ``(base·d + n)/d`` in lowest terms too, and the read final price
+        # equals it exactly when numerators and denominators match.
+        d = delta.denominator
+        if final.denominator != d or final.numerator != base * d + delta.numerator:
+            raise _stored_mismatch(b, "final_price", final, base + delta)
+        if solution.utilities[b] != gp.utility[b]:
+            raise _stored_mismatch(b, "utility", solution.utilities[b], gp.utility[b])
+        if solution.surpluses[b] != gp.surplus[b]:
+            raise _stored_mismatch(b, "surplus", solution.surpluses[b], gp.surplus[b])
     welfare = sum(gp.utility.values())
     if solution.social_welfare != welfare:
         raise DocumentError(

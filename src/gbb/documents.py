@@ -5,6 +5,11 @@ fields so corpus files fail loudly across versions; serialization is
 canonical (sorted ids, sorted keys) so identical inputs give identical
 bytes.  Exact rationals travel as lowest-terms strings like ``"3/4"``
 (integers collapse to ``"3"``).
+
+Every rejection names the path of the field at fault, such as
+``buyers[1].valuations[0].choice[1]``.  The readers build that path only
+for a rejection: an accepted document is read without formatting any
+location, and each distinct rational literal in it is parsed once.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any, Mapping, NoReturn
 
 from .model import (
@@ -119,14 +125,26 @@ def _emit_json(value: Any, newline: str, parts: list[str], quote: Any) -> None:
         )
 
 
-def _record(data: Any, fields: tuple[str, ...], where: str) -> list:
-    """The values of ``fields``, in order, from an object with exactly
-    those keys; unknown keys are reported before missing ones."""
+def _located(where: str, exc: DocumentError) -> DocumentError:
+    """``exc`` with ``where`` put in front of its location.
+
+    Readers validate a record's fields inside one ``try`` and pass each
+    helper a constant path relative to the record (``".payer"``, ``"[k]"``,
+    or ``""`` for the record itself), so a helper's message starts with
+    that relative path.  The record's ``except`` adds the record's own
+    location once, so no location is formatted for an accepted field.
+    """
+    return DocumentError(f"{where}{exc}")
+
+
+def _record(data: Any, fields: tuple[str, ...], where: str) -> tuple:
+    """The values of ``fields`` (two or more), in order, from an object with
+    exactly those keys; unknown keys are reported before missing ones."""
     if not isinstance(data, dict):
         raise DocumentError(f"{where}: expected an object")
     if len(data) == len(fields):
         try:
-            return [data[field] for field in fields]
+            return itemgetter(*fields)(data)
         except KeyError:
             pass
     unknown = data.keys() - set(fields)
@@ -159,22 +177,37 @@ def _as_list(value: Any, where: str) -> list:
 
 
 def _ints(value: Any, where: str) -> tuple[int, ...]:
-    return tuple(
-        _as_int(v, f"{where}[{k}]") for k, v in enumerate(_as_list(value, where))
-    )
+    items = _as_list(value, where)
+    for k, item in enumerate(items):
+        try:
+            _as_int(item, "")
+        except DocumentError as exc:
+            raise _located(f"{where}[{k}]", exc) from None
+    return tuple(items)
 
 
 def _strs(value: Any, where: str) -> tuple[str, ...]:
-    return tuple(
-        _as_str(v, f"{where}[{k}]") for k, v in enumerate(_as_list(value, where))
-    )
+    """A list of nonempty ``str``, checked in one pass; the items are walked
+    one by one only to name a bad one."""
+    items = _as_list(value, where)
+    for item in items:
+        if item.__class__ is not str or not item:
+            for k, item in enumerate(items):
+                _as_str(item, f"{where}[{k}]")
+            break
+    return tuple(items)
 
 
-def _rational(value: Any, where: str) -> Fraction:
-    try:
-        return rational_from_str(value)
-    except DocumentError as exc:
-        raise DocumentError(f"{where}: {exc}") from None
+def _rational(value: Any, where: str, known: dict[str, Fraction]) -> Fraction:
+    """``value`` read as a rational literal, through ``known``: the literals
+    this document has already accepted, each with its ``Fraction``."""
+    fraction = known.get(value) if value.__class__ is str else None
+    if fraction is None:
+        try:
+            fraction = known[value] = rational_from_str(value)
+        except DocumentError as exc:
+            raise DocumentError(f"{where}: {exc}") from None
+    return fraction
 
 
 def instance_to_dict(market: Market) -> dict:
@@ -225,41 +258,49 @@ def instance_from_dict(data: Any) -> Market:
 
     vendors: list[Vendor] = []
     for i, entry in enumerate(_as_list(vendor_list, "vendors")):
-        where = f"vendors[{i}]"
-        vid, base_prices, tier_list = _record(
-            entry, ("id", "base_prices", "discounts"), where
-        )
-        vid = _as_str(vid, f"{where}.id")
-        if vid == NULL_VENDOR:
-            raise DocumentError(f"{where}: vendor id {NULL_VENDOR!r} is reserved")
-        base_prices = _ints(base_prices, f"{where}.base_prices")
-        tiers = []
-        for j, tier in enumerate(_as_list(tier_list, f"{where}.discounts")):
-            twhere = f"{where}.discounts[{j}]"
-            thresholds, bundle_price = _record(
-                tier, ("thresholds", "bundle_price"), twhere
+        try:
+            vid, base_prices, tier_list = _record(
+                entry, ("id", "base_prices", "discounts"), ""
             )
-            tiers.append(
-                DiscountTier(
-                    thresholds=_ints(thresholds, f"{twhere}.thresholds"),
-                    bundle_price=_as_int(bundle_price, f"{twhere}.bundle_price"),
-                )
-            )
+            vid = _as_str(vid, ".id")
+            if vid == NULL_VENDOR:
+                raise DocumentError(f": vendor id {NULL_VENDOR!r} is reserved")
+            base_prices = _ints(base_prices, ".base_prices")
+            tiers = []
+            for j, tier in enumerate(_as_list(tier_list, ".discounts")):
+                try:
+                    thresholds, bundle_price = _record(
+                        tier, ("thresholds", "bundle_price"), ""
+                    )
+                    tiers.append(
+                        DiscountTier(
+                            thresholds=_ints(thresholds, ".thresholds"),
+                            bundle_price=_as_int(bundle_price, ".bundle_price"),
+                        )
+                    )
+                except DocumentError as exc:
+                    raise _located(f".discounts[{j}]", exc) from None
+        except DocumentError as exc:
+            raise _located(f"vendors[{i}]", exc) from None
         vendors.append(Vendor(id=vid, base_prices=base_prices, tiers=tuple(tiers)))
 
     buyers: list[Buyer] = []
     for i, entry in enumerate(_as_list(buyer_list, "buyers")):
-        where = f"buyers[{i}]"
-        bid, valuation_list = _record(entry, ("id", "valuations"), where)
-        bid = _as_str(bid, f"{where}.id")
-        valuations: dict[VendorTuple, Money] = {}
-        for j, val in enumerate(_as_list(valuation_list, f"{where}.valuations")):
-            vwhere = f"{where}.valuations[{j}]"
-            choice, value = _record(val, ("choice", "value"), vwhere)
-            choice = _strs(choice, f"{vwhere}.choice")
-            if choice in valuations:
-                raise DocumentError(f"{vwhere}: duplicate choice {choice!r}")
-            valuations[choice] = _as_int(value, f"{vwhere}.value")
+        try:
+            bid, valuation_list = _record(entry, ("id", "valuations"), "")
+            bid = _as_str(bid, ".id")
+            valuations: dict[VendorTuple, Money] = {}
+            for j, val in enumerate(_as_list(valuation_list, ".valuations")):
+                try:
+                    choice, value = _record(val, ("choice", "value"), "")
+                    choice = _strs(choice, ".choice")
+                    if choice in valuations:
+                        raise DocumentError(f": duplicate choice {choice!r}")
+                    valuations[choice] = _as_int(value, ".value")
+                except DocumentError as exc:
+                    raise _located(f".valuations[{j}]", exc) from None
+        except DocumentError as exc:
+            raise _located(f"buyers[{i}]", exc) from None
         buyers.append(Buyer(id=bid, valuations=valuations))
 
     return Market.build(c=c, vendors=vendors, buyers=buyers)
@@ -362,52 +403,68 @@ def solution_from_dict(data: Any) -> SolutionBundle:
 
     if not isinstance(alloc_obj, dict):
         raise DocumentError("allocation: expected an object")
-    choice = {bid: _strs(tup, f"allocation[{bid!r}]") for bid, tup in alloc_obj.items()}
+    choice = {}
+    for bid, tup in alloc_obj.items():
+        try:
+            choice[bid] = _strs(tup, "")
+        except DocumentError as exc:
+            raise _located(f"allocation[{bid!r}]", exc) from None
 
     if not isinstance(buyers_obj, dict):
         raise DocumentError("buyers: expected an object")
+    # Deltas, final prices and transfer amounts repeat a few literals many
+    # times; each accepted literal is parsed once per document.
+    rationals: dict[str, Fraction] = {}
     prices: dict[BuyerId, PriceEntry] = {}
     utilities: dict[BuyerId, Money] = {}
     surpluses: dict[BuyerId, Money] = {}
     for bid, entry in buyers_obj.items():
-        where = f"buyers[{bid!r}]"
-        market_price, delta, final, utility, surplus = _record(
-            entry, ("market_price", "delta", "final_price", "utility", "surplus"), where
-        )
-        prices[bid] = PriceEntry(
-            market_price=_as_int(market_price, f"{where}.market_price"),
-            delta=_rational(delta, f"{where}.delta"),
-            final=_rational(final, f"{where}.final_price"),
-        )
-        utilities[bid] = _as_int(utility, f"{where}.utility")
-        surpluses[bid] = _as_int(surplus, f"{where}.surplus")
+        try:
+            market_price, delta, final, utility, surplus = _record(
+                entry,
+                ("market_price", "delta", "final_price", "utility", "surplus"),
+                "",
+            )
+            prices[bid] = PriceEntry(
+                market_price=_as_int(market_price, ".market_price"),
+                delta=_rational(delta, ".delta", rationals),
+                final=_rational(final, ".final_price", rationals),
+            )
+            utilities[bid] = _as_int(utility, ".utility")
+            surpluses[bid] = _as_int(surplus, ".surplus")
+        except DocumentError as exc:
+            raise _located(f"buyers[{bid!r}]", exc) from None
 
     gt_entries = {}
     for i, entry in enumerate(_as_list(gt_list, "group_transfers")):
-        where = f"group_transfers[{i}]"
-        s, x, amount = _record(entry, ("vendor", "group", "amount"), where)
-        s = _as_str(s, f"{where}.vendor")
-        x = _strs(x, f"{where}.group")
-        if (s, x) in gt_entries:
-            raise DocumentError(f"{where}: duplicate group transfer {s!r} -> {x!r}")
-        amount = _as_int(amount, f"{where}.amount")
-        if amount <= 0:
-            raise DocumentError(f"{where}: amount {amount} must be positive")
+        try:
+            s, x, amount = _record(entry, ("vendor", "group", "amount"), "")
+            s = _as_str(s, ".vendor")
+            x = _strs(x, ".group")
+            if (s, x) in gt_entries:
+                raise DocumentError(f": duplicate group transfer {s!r} -> {x!r}")
+            amount = _as_int(amount, ".amount")
+            if amount <= 0:
+                raise DocumentError(f": amount {amount} must be positive")
+        except DocumentError as exc:
+            raise _located(f"group_transfers[{i}]", exc) from None
         gt_entries[(s, x)] = amount
 
     matrix_entries = {}
     for i, entry in enumerate(_as_list(transfer_list, "transfers")):
-        where = f"transfers[{i}]"
-        payer, payee, amount = _record(entry, ("payer", "payee", "amount"), where)
-        payer = _as_str(payer, f"{where}.payer")
-        payee = _as_str(payee, f"{where}.payee")
-        if payer == payee:
-            raise DocumentError(f"{where}: payer {payer!r} pays itself")
-        if (payer, payee) in matrix_entries:
-            raise DocumentError(f"{where}: duplicate transfer {payer!r} -> {payee!r}")
-        amount = _rational(amount, f"{where}.amount")
-        if amount.numerator <= 0:
-            raise DocumentError(f"{where}: amount {amount} must be positive")
+        try:
+            payer, payee, amount = _record(entry, ("payer", "payee", "amount"), "")
+            payer = _as_str(payer, ".payer")
+            payee = _as_str(payee, ".payee")
+            if payer == payee:
+                raise DocumentError(f": payer {payer!r} pays itself")
+            if (payer, payee) in matrix_entries:
+                raise DocumentError(f": duplicate transfer {payer!r} -> {payee!r}")
+            amount = _rational(amount, ".amount", rationals)
+            if amount.numerator <= 0:
+                raise DocumentError(f": amount {amount} must be positive")
+        except DocumentError as exc:
+            raise _located(f"transfers[{i}]", exc) from None
         matrix_entries[(payer, payee)] = amount
 
     if certificate is not None and not isinstance(certificate, dict):

@@ -68,12 +68,11 @@ class TransferMatrix:
 
     entries: Mapping[tuple[BuyerId, BuyerId], Fraction]
 
-    def net_outflows(self) -> dict[BuyerId, Fraction]:
-        """Payments minus receipts per buyer named in the matrix, keyed in
-        order of first appearance (payer before payee within an entry).
-
-        Each buyer's sum is kept as an integer numerator over a common
-        denominator, and one ``Fraction`` is built per buyer at the end."""
+    def net_outflow_terms(self) -> dict[BuyerId, tuple[int, int]]:
+        """Payments minus receipts per buyer named in the matrix, as an
+        integer numerator over a positive common denominator (not reduced),
+        keyed in order of first appearance (payer before payee within an
+        entry)."""
         nums: dict[BuyerId, int] = {}
         dens: dict[BuyerId, int] = {}
         for (payer, payee), amount in self.entries.items():
@@ -89,7 +88,11 @@ class TransferMatrix:
                     g = gcd(old, d)
                     nums[b] = nums[b] * (d // g) + signed * (old // g)
                     dens[b] = old // g * d
-        return {b: Fraction(n, dens[b]) for b, n in nums.items()}
+        return {b: (n, dens[b]) for b, n in nums.items()}
+
+    def net_outflows(self) -> dict[BuyerId, Fraction]:
+        """``net_outflow_terms`` as one ``Fraction`` per buyer."""
+        return {b: Fraction(n, d) for b, (n, d) in self.net_outflow_terms().items()}
 
 
 @dataclass(frozen=True)

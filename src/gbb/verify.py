@@ -158,17 +158,20 @@ def check_group_condition(gp: GroupPartition, gt: GroupTransfers) -> CheckResult
 
 
 def check_p_consistent(prices: PriceVector, matrix: TransferMatrix) -> CheckResult:
-    """Each buyer's price delta equals her net transfer outflow."""
-    flows = matrix.net_outflows()
+    """Each buyer's price delta equals her net transfer outflow, compared as
+    ``n_d·q_f = n_f·q_d`` for delta ``n_d/q_d`` and outflow ``n_f/q_f``."""
+    flows = matrix.net_outflow_terms()
     for b in flows:
         if b not in prices.entries:
             return _fail([f"transfer references unknown buyer {b}"])
     witnesses = []
     for b in sorted(prices.entries):
         delta = prices.entries[b].delta
-        flow = flows.get(b, 0)
-        if delta != flow:
-            witnesses.append(f"buyer {b}: price delta {delta} != net transfer {flow}")
+        n_f, q_f = flows.get(b, (0, 1))
+        if delta.numerator * q_f != n_f * delta.denominator:
+            witnesses.append(
+                f"buyer {b}: price delta {delta} != net transfer {Fraction(n_f, q_f)}"
+            )
     return _fail(witnesses)
 
 

@@ -465,6 +465,33 @@ def test_verify_rejects_stored_fields_that_contradict_the_instance(
         if buyer is not None:
             assert f"buyer {buyer}:" in err
 
+    # b1's derived final price is 1 + 10/3 = 13/3: a stored value sharing
+    # only its numerator or only its denominator is rejected, and the same
+    # value written out of lowest terms verifies.
+    instance = tmp_path / "g3.json"
+    solved = tmp_path / "g3.solve.json"
+    gen = ["gen", "--buyers", "3", "--vendors", "2", "--items", "2", "--seed", "2"]
+    assert main([*gen, "--out", str(instance)]) == 0
+    assert main(["solve", str(instance), "--out", str(solved)]) == 0
+    doc = json.loads(solved.read_text())
+    assert (doc["buyers"]["b1"]["delta"], doc["buyers"]["b1"]["final_price"]) == (
+        "10/3",
+        "13/3",
+    )
+    for value, want in (("13/2", 2), ("11/3", 2), ("26/6", 0)):
+        doc["buyers"]["b1"]["final_price"] = value
+        sol.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["verify", str(instance), str(sol)])
+        assert code == want, value
+        if want:
+            assert out == ""
+            assert err == (
+                f"error: buyer b1: stored final_price {value} != derived 13/3\n"
+            )
+        else:
+            assert err == ""
+            assert out.count(": PASS") == 6
+
 
 def test_verify_buyer_set_mismatch(capsys, fix_e1_path, fix_e2_path, tmp_path):
     sol = tmp_path / "sol.json"

@@ -337,6 +337,148 @@ def test_every_record_rejection_names_its_record(kind, path, fault, field, messa
     assert str(err.value) == message
 
 
+# Field-level faults, mostly in a record after the first, with the exact
+# message each gives; the locations are added only once a field is rejected.
+_FIELD_FAULTS = (
+    ("instance", ("buyers", 1, "id"), 5, "buyers[1].id: expected a nonempty string"),
+    (
+        "instance",
+        ("buyers", 1, "valuations", 1, "value"),
+        True,
+        "buyers[1].valuations[1].value: expected an integer",
+    ),
+    (
+        "instance",
+        ("buyers", 1, "valuations", 1, "value"),
+        1.5,
+        "buyers[1].valuations[1].value: expected an integer",
+    ),
+    (
+        "instance",
+        ("buyers", 1, "valuations", 1, "value"),
+        2**63,
+        "buyers[1].valuations[1].value: magnitude exceeds 64-bit range",
+    ),
+    (
+        "instance",
+        ("buyers", 1, "valuations", 0, "choice", 1),
+        "",
+        "buyers[1].valuations[0].choice[1]: expected a nonempty string",
+    ),
+    (
+        "instance",
+        ("buyers", 1, "valuations", 1, "choice"),
+        ["s1", "s1"],
+        "buyers[1].valuations[1]: duplicate choice ('s1', 's1')",
+    ),
+    (
+        "instance",
+        ("vendors", 0, "base_prices", 1),
+        "4",
+        "vendors[0].base_prices[1]: expected an integer",
+    ),
+    ("instance", ("vendors", 1, "id"), 3, "vendors[1].id: expected a nonempty string"),
+    (
+        "instance",
+        ("vendors", 0, "discounts", 0, "thresholds", 1),
+        None,
+        "vendors[0].discounts[0].thresholds[1]: expected an integer",
+    ),
+    (
+        "instance",
+        ("vendors", 0, "discounts", 0, "bundle_price"),
+        False,
+        "vendors[0].discounts[0].bundle_price: expected an integer",
+    ),
+    (
+        "solution",
+        ("allocation", "b2", 0),
+        "",
+        "allocation['b2'][0]: expected a nonempty string",
+    ),
+    (
+        "solution",
+        ("buyers", "b2", "market_price"),
+        "4",
+        "buyers['b2'].market_price: expected an integer",
+    ),
+    (
+        "solution",
+        ("buyers", "b2", "utility"),
+        5.0,
+        "buyers['b2'].utility: expected an integer",
+    ),
+    (
+        "solution",
+        ("buyers", "b2", "surplus"),
+        -(2**63),
+        "buyers['b2'].surplus: magnitude exceeds 64-bit range",
+    ),
+    (
+        "solution",
+        ("buyers", "b2", "delta"),
+        1,
+        "buyers['b2'].delta: not a rational literal: 1",
+    ),
+    (
+        "solution",
+        ("transfers", 1, "payer"),
+        "",
+        "transfers[1].payer: expected a nonempty string",
+    ),
+    (
+        "solution",
+        ("transfers", 1, "payee"),
+        None,
+        "transfers[1].payee: expected a nonempty string",
+    ),
+    (
+        "solution",
+        ("transfers", 1, "payer"),
+        "b3",
+        "transfers[1]: payer 'b3' pays itself",
+    ),
+    # b3's delta is "-2": an accepted literal, not yet checked as an amount.
+    (
+        "solution",
+        ("transfers", 1, "amount"),
+        "-2",
+        "transfers[1]: amount -2 must be positive",
+    ),
+    (
+        "solution",
+        ("group_transfers", 0, "vendor"),
+        1,
+        "group_transfers[0].vendor: expected a nonempty string",
+    ),
+    (
+        "solution",
+        ("group_transfers", 0, "group", 0),
+        "",
+        "group_transfers[0].group[0]: expected a nonempty string",
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "kind, path, value, message",
+    [
+        pytest.param(*fault, id=f"{'.'.join(map(str, fault[1]))}={fault[2]!r}")
+        for fault in _FIELD_FAULTS
+    ],
+)
+def test_field_rejection_names_the_field(kind, path, value, message):
+    name, reader = _READERS[kind]
+    doc = _golden(name)
+    record = doc
+    for key in path[:-1]:
+        record = record[key]
+    record[path[-1]] = value
+    with pytest.raises(DocumentError) as err:
+        reader(doc)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize(
     "name", [f"{n}.{kind}.json" for n in GOLDEN_NAMES for kind in ("solve", "oracle")]
 )

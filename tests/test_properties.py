@@ -9,7 +9,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from gbb.cli import main  # noqa: E402
 from gbb.flow import Edge, FlowNetwork, max_flow, min_cost_max_flow  # noqa: E402
@@ -477,8 +477,20 @@ canonical_values = st.recursive(
 )
 
 
+# Explicit examples run on every run, whatever Hypothesis draws: non-ASCII,
+# escaped and lone-surrogate strings (also as keys), big ints, non-finite
+# and extreme floats, bools, ``None`` and empty containers.
 @settings(max_examples=500, deadline=None)
 @given(canonical_values)
+@example("h\u00e9 \u4e2d \U0001f600")
+@example("\"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\ud800")
+@example({"\u00e9": 1, "\n": 2, "": 3, "a": {"\ud83d": [None]}})
+@example([2**64, -(2**64), 10**40, _Count(2**70), 0])
+@example([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1.5e308])
+@example([True, False, None, 1, 0])
+@example([[], {}, (), [[]], {"k": {}}, ([],)])
+@example([])
+@example({})
 def test_canonical_json_is_json_dumps_with_indent_and_sorted_keys(value):
     expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
     assert to_canonical_json(value) == expected

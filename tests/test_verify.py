@@ -446,6 +446,34 @@ def fraction_budget_witnesses(prices):
     return [] if total == 0 else [f"price deltas sum to {total}, expected 0"]
 
 
+def fraction_p_consistent_witnesses(prices, matrix):
+    flows = matrix.net_outflows()
+    unknown = [b for b in flows if b not in prices.entries]
+    if unknown:
+        return [f"transfer references unknown buyer {unknown[0]}"]
+    witnesses = []
+    for b in sorted(prices.entries):
+        delta, flow = prices.entries[b].delta, flows.get(b, Fraction(0))
+        if delta != flow:
+            witnesses.append(f"buyer {b}: price delta {delta} != net transfer {flow}")
+    return witnesses
+
+
+def tampered_matrix(rng, matrix):
+    """``matrix`` with one amount rescaled or nudged (its payer and payee
+    then net to a new denominator), or with a payment to an unknown buyer."""
+    entries = dict(matrix.entries)
+    pair = rng.choice(sorted(entries))
+    kind = rng.randrange(3)
+    if kind == 0:
+        entries[pair] *= rng.choice((2, Fraction(3, 7), Fraction(5, 11)))
+    elif kind == 1:
+        entries[pair] += Fraction(rng.randint(1, 5), rng.choice((1, 7, 97)))
+    else:
+        entries[(pair[0], "zz")] = Fraction(1, 3)
+    return TransferMatrix(entries=entries)
+
+
 def tampered_deltas(rng, deltas):
     """Pipeline deltas rescaled (sign flips and coprime factors keep fairness
     and balance), shifted between two buyers (keeps balance), nudged at one
@@ -509,15 +537,30 @@ def test_integer_checks_match_the_fraction_formulas():
             max_value=rng.choice((15, 40)),
         )
         cases.append((market, solve_swm(market).allocation))
-    verdicts = {"stable": [], "fair": [], "budget_balance": []}
+    verdicts = {"stable": [], "fair": [], "budget_balance": [], "p_consistent": []}
     negative = 0
+    # Matrix changes draw from their own generator, so the tampered deltas
+    # stay those the other checks were tuned on.
+    matrix_rng = random.Random(1204)
     for market, alloc in cases:
-        gp, _, _, prices = pipeline(market, alloc)
+        gp, _, matrix, prices = pipeline(market, alloc)
         base = {b: e.delta for b, e in prices.entries.items()}
+        for _ in range(3 if matrix.entries else 0):
+            variant = tampered_matrix(matrix_rng, matrix)
+            result = check_p_consistent(prices, variant)
+            witnesses = fraction_p_consistent_witnesses(prices, variant)
+            assert witnesses
+            assert list(result.witnesses) == witnesses, variant.entries
+            assert not result.passed
         for deltas in (base, *(tampered_deltas(rng, base) for _ in range(6))):
             tampered = price_vector(market, alloc, deltas)
             negative += any(d < 0 for d in deltas.values())
             for name, result, witnesses in (
+                (
+                    "p_consistent",
+                    check_p_consistent(tampered, matrix),
+                    fraction_p_consistent_witnesses(tampered, matrix),
+                ),
                 (
                     "stable",
                     check_stable(gp, tampered),
