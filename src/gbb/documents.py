@@ -413,25 +413,45 @@ def solution_from_dict(data: Any) -> SolutionBundle:
     if not isinstance(buyers_obj, dict):
         raise DocumentError("buyers: expected an object")
     # Deltas, final prices and transfer amounts repeat a few literals many
-    # times; each accepted literal is parsed once per document.
+    # times; each accepted literal is parsed once per document.  Buyer
+    # records repeat too: each distinct accepted record is checked once and
+    # gives one ``PriceEntry``.  Only exact ``int`` and ``str`` values form
+    # a key, so ``true``, ``4.0`` or a list never match an accepted record
+    # and always reach the field checks.
     rationals: dict[str, Fraction] = {}
+    accepted: dict[tuple[int, str, str, int, int], PriceEntry] = {}
     prices: dict[BuyerId, PriceEntry] = {}
     utilities: dict[BuyerId, Money] = {}
     surpluses: dict[BuyerId, Money] = {}
     for bid, entry in buyers_obj.items():
         try:
-            market_price, delta, final, utility, surplus = _record(
+            record = _record(
                 entry,
                 ("market_price", "delta", "final_price", "utility", "surplus"),
                 "",
             )
-            prices[bid] = PriceEntry(
-                market_price=_as_int(market_price, ".market_price"),
-                delta=_rational(delta, ".delta", rationals),
-                final=_rational(final, ".final_price", rationals),
+            market_price, delta, final, utility, surplus = record
+            keyed = (
+                market_price.__class__ is int
+                and delta.__class__ is str
+                and final.__class__ is str
+                and utility.__class__ is int
+                and surplus.__class__ is int
             )
-            utilities[bid] = _as_int(utility, ".utility")
-            surpluses[bid] = _as_int(surplus, ".surplus")
+            price = accepted.get(record) if keyed else None
+            if price is None:
+                price = PriceEntry(
+                    market_price=_as_int(market_price, ".market_price"),
+                    delta=_rational(delta, ".delta", rationals),
+                    final=_rational(final, ".final_price", rationals),
+                )
+                _as_int(utility, ".utility")
+                _as_int(surplus, ".surplus")
+                if keyed:
+                    accepted[record] = price
+            prices[bid] = price
+            utilities[bid] = utility
+            surpluses[bid] = surplus
         except DocumentError as exc:
             raise _located(f"buyers[{bid!r}]", exc) from None
 

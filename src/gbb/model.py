@@ -5,7 +5,10 @@ rational amounts only appear downstream, when group transfers are split
 between individual buyers.  Discounts are triggered by demand volumes, so
 ``cell_prices`` prices any multiset of choices, an allocation's or a
 partition's; ``group_partition`` prices an allocation once, keeping each
-buyer's market price, utility and surplus.
+buyer's market price, utility and surplus.  It makes one pass over the
+buyers and builds each distinct value once per call: a market price per
+distinct choice, a base price per valued tuple and a negative-group key
+per distinct choice.  No such table outlives its call.
 """
 
 from __future__ import annotations
@@ -342,25 +345,60 @@ def cell_prices(
     return {choice: market_price_of_choice(market, choice, trig) for choice in counts}
 
 
+def _priced_choices(
+    market: Market, alloc: Allocation
+) -> tuple[list[VendorTuple], dict[VendorTuple, Money]]:
+    """Each buyer's choice in ``market.buyer_ids`` order, and the market
+    price of each distinct choice.
+
+    The choices are counted before they are checked, so a valid allocation
+    checks each distinct choice once.  When a buyer is missing or a choice
+    has the wrong arity, the buyers are walked in id order and the first bad
+    one raises; an unknown vendor then raises in ``cell_prices``.
+    """
+    ids = market.buyer_ids
+    try:
+        chosen = [alloc.choice[b] for b in ids]
+        counts = Counter(chosen)
+        valid = all(len(choice) == market.c for choice in counts)
+    except (KeyError, TypeError):
+        valid = False
+    if not valid:
+        chosen = [_choice_of(market, alloc, b) for b in ids]
+        counts = Counter(chosen)
+    return chosen, cell_prices(market, counts)
+
+
 def market_prices(market: Market, alloc: Allocation) -> dict[BuyerId, Money]:
     """Each buyer's market price under ``alloc``: the allocation is priced as
     the multiset of its choices."""
-    counts = Counter(_choice_of(market, alloc, b) for b in market.buyer_ids)
-    price = cell_prices(market, counts)
-    return {b: price[alloc.choice[b]] for b in market.buyer_ids}
+    chosen, price = _priced_choices(market, alloc)
+    return dict(zip(market.buyer_ids, map(price.__getitem__, chosen)))
 
 
-def best_alternative(market: Market, buyer_id: BuyerId) -> tuple[VendorTuple, Money]:
+def best_alternative(
+    market: Market,
+    buyer_id: BuyerId,
+    bases: dict[VendorTuple, Money | None] | None = None,
+) -> tuple[VendorTuple, Money]:
     """Best utility achievable at base prices over every vendor tuple.
 
     Ties go to the lexicographically smallest tuple.  Only the buyer's
     valued tuples are scanned: any other tuple is worth at most 0 at base
     prices, and exactly 0 when all its vendors charge 0 for their item, so
     the smallest such tuple (all-null at worst) is the best one left.
+    ``bases`` maps tuples to their ``Market.base_price``; a caller scanning
+    many buyers passes one table, which this fills, so each valued tuple is
+    priced once per call.
     """
+    if bases is None:
+        bases = {}
     best_choice, best_value = None, 0
     for choice, value in market.buyer(buyer_id).valuations.items():
-        base = market.base_price(choice)
+        try:
+            base = bases[choice]
+        except KeyError:
+            base = bases[choice] = market.base_price(choice)
         if base is None:
             continue
         value -= base
@@ -381,28 +419,33 @@ def all_surpluses(market: Market, alloc: Allocation) -> dict[BuyerId, Money]:
 
 def group_partition(market: Market, alloc: Allocation) -> GroupPartition:
     """Price ``alloc`` once and split buyers into positive bundle groups and
-    negative choice groups.
+    negative choice groups, in one pass over the buyers in id order.
 
     Utility is valuation less market price, and surplus is utility less the
     best base-price alternative's.  A buyer paying base prices is worth at
     most her best alternative, so a positive surplus means a triggered full
-    bundle from ``choice[0]``.
+    bundle from ``choice[0]``.  Market prices and negative-group keys are
+    built once per distinct choice, and base prices once per valued tuple.
     """
-    price = market_prices(market, alloc)
-    utility = {
-        buyer.id: buyer.valuation(alloc.choice[buyer.id]) - price[buyer.id]
-        for buyer in market.buyers
-    }
-    sigma = {b: u - best_alternative(market, b)[1] for b, u in utility.items()}
-
+    chosen, price_of = _priced_choices(market, alloc)
+    bases: dict[VendorTuple, Money | None] = {}
+    group_of: dict[VendorTuple, VendorTuple] = {}
+    price: dict[BuyerId, Money] = {}
+    utility: dict[BuyerId, Money] = {}
+    sigma: dict[BuyerId, Money] = {}
     positive: dict[VendorId, list[BuyerId]] = {}
     negative: dict[VendorTuple, list[BuyerId]] = {}
-    for b, sb in sigma.items():
-        choice = alloc.choice[b]
+    for buyer, choice in zip(market.buyers, chosen):
+        b = buyer.id
+        price[b] = p = price_of[choice]
+        utility[b] = u = buyer.valuations.get(choice, 0) - p
+        sigma[b] = sb = u - best_alternative(market, b, bases)[1]
         if sb > 0:
             positive.setdefault(choice[0], []).append(b)
         elif sb < 0:
-            x = tuple(sorted(set(choice)))
+            x = group_of.get(choice)
+            if x is None:
+                x = group_of[choice] = tuple(sorted(set(choice)))
             negative.setdefault(x, []).append(b)
 
     positive_sorted = {s: tuple(ids) for s, ids in sorted(positive.items())}

@@ -6,6 +6,10 @@ a max flow on a three-layer network, split between individual buyers
 proportionally to surplus, and finally folded into per-buyer prices.
 Amounts at the group level are integers; per-buyer splits are exact
 rationals, matched as integers over each split's common denominator.
+Fairness makes an amount depend only on surpluses, so a few distinct
+values repeat across many buyers: within one call each distinct matched
+amount, delta, final price and ``PriceEntry`` is built once and shared.
+No such table outlives its call.
 """
 
 from __future__ import annotations
@@ -72,27 +76,34 @@ class TransferMatrix:
         """Payments minus receipts per buyer named in the matrix, as an
         integer numerator over a positive common denominator (not reduced),
         keyed in order of first appearance (payer before payee within an
-        entry)."""
-        nums: dict[BuyerId, int] = {}
-        dens: dict[BuyerId, int] = {}
-        for (payer, payee), amount in self.entries.items():
-            n, d = amount.numerator, amount.denominator
-            for b, signed in ((payer, n), (payee, -n)):
-                old = dens.get(b)
-                if old is None:
-                    nums[b] = signed
-                    dens[b] = d
-                elif old == d:
-                    nums[b] += signed
-                else:
-                    g = gcd(old, d)
-                    nums[b] = nums[b] * (d // g) + signed * (old // g)
-                    dens[b] = old // g * d
-        return {b: (n, dens[b]) for b, n in nums.items()}
+        entry).
 
-    def net_outflows(self) -> dict[BuyerId, Fraction]:
-        """``net_outflow_terms`` as one ``Fraction`` per buyer."""
-        return {b: Fraction(n, d) for b, (n, d) in self.net_outflow_terms().items()}
+        Numerators are summed per denominator first; a fair split has a few
+        distinct denominators, so only a buyer paid over several of them is
+        brought to a common one, their least common multiple.
+        """
+        by_den: dict[int, dict[BuyerId, int]] = {}
+        terms: dict[BuyerId, tuple[int, int] | None] = {}
+        for (payer, payee), amount in self.entries.items():
+            d = amount.denominator
+            nums = by_den.get(d)
+            if nums is None:
+                nums = by_den[d] = {}
+            n = amount.numerator
+            nums[payer] = nums.get(payer, 0) + n
+            nums[payee] = nums.get(payee, 0) - n
+            terms[payer] = None
+            terms[payee] = None
+        for d, nums in by_den.items():
+            for b, n in nums.items():
+                old = terms[b]
+                if old is None:
+                    terms[b] = (n, d)
+                else:
+                    m, e = old
+                    g = gcd(e, d)
+                    terms[b] = (m * (d // g) + n * (e // g), e // g * d)
+        return terms
 
 
 @dataclass(frozen=True)
@@ -223,10 +234,16 @@ def fair_buyer_transfers(
         offers = [(b, amount * gp.surplus[b] * q) for b in gp.positive_groups[s]]
         requests = [(b, -amount * gp.surplus[b] * p) for b in gp.negative_groups[x]]
         # A payer sits in one positive group and a payee in one negative
-        # group, so each pair is matched under exactly one (s, x).
+        # group, so each pair is matched under exactly one (s, x).  Equal
+        # surpluses match equal amounts, so each distinct amount is divided
+        # by P·Q once.
         pq = p * q
+        shares: dict[int, Fraction] = {}
         for pair, paid in greedy_match(offers, requests).items():
-            entries[pair] = Fraction(paid, pq)
+            share = shares.get(paid)
+            if share is None:
+                share = shares[paid] = Fraction(paid, pq)
+            entries[pair] = share
     return TransferMatrix(entries=entries)
 
 
@@ -234,16 +251,29 @@ def prices_from_transfers(
     market: Market, alloc: Allocation, matrix: TransferMatrix
 ) -> PriceVector:
     """Fold pairwise transfers into each buyer's final price: her market
-    price under ``alloc`` plus her net outflow."""
-    flows = matrix.net_outflows()
-    zero = Fraction(0)
-    deltas = {b: flows.pop(b, zero) for b in market.buyer_ids}
-    if flows:
-        raise ValueError(f"transfer references unknown buyer {next(iter(flows))!r}")
+    price under ``alloc`` plus her net outflow.
+
+    Reads ``matrix.net_outflow_terms()``.  Buyers with the same market price
+    and the same outflow terms share one ``PriceEntry``, so each distinct
+    delta and final price is built once per call.  A transfer naming a
+    buyer outside the market raises ``ValueError`` before ``alloc`` is
+    priced.
+    """
+    flows = matrix.net_outflow_terms()
+    known = set(market.buyer_ids)
+    for b in flows:
+        if b not in known:
+            raise ValueError(f"transfer references unknown buyer {b!r}")
+    no_flow = (0, 1)
+    made: dict[tuple[Money, int, int], PriceEntry] = {}
     entries: dict[BuyerId, PriceEntry] = {}
     for b, base in market_prices(market, alloc).items():
-        delta = deltas[b]
-        d = delta.denominator
-        final = Fraction(base * d + delta.numerator, d)
-        entries[b] = PriceEntry(market_price=base, delta=delta, final=final)
+        n, d = flows.get(b, no_flow)
+        entry = made.get((base, n, d))
+        if entry is None:
+            delta = Fraction(n, d)
+            q = delta.denominator
+            final = Fraction(base * q + delta.numerator, q)
+            entry = made[(base, n, d)] = PriceEntry(base, delta, final)
+        entries[b] = entry
     return PriceVector(entries=entries)

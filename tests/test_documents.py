@@ -479,6 +479,59 @@ def test_field_rejection_names_the_field(kind, path, value, message):
     assert str(err.value) == message
 
 
+# In fix_e2.solve.json b2's record repeats b1's.  Each case breaks one field
+# of b2 after b1 is accepted, first setting that field of both to the
+# number a bool or a float equals, so that only the field check can reject
+# it.
+_REPEATED_RECORD_FAULTS = (
+    ("delta", [], None, "buyers['b2'].delta: not a rational literal: []"),
+    ("delta", {}, None, "buyers['b2'].delta: not a rational literal: {}"),
+    ("market_price", True, 1, "buyers['b2'].market_price: expected an integer"),
+    ("market_price", 5.0, 5, "buyers['b2'].market_price: expected an integer"),
+    ("utility", True, 1, "buyers['b2'].utility: expected an integer"),
+    ("utility", 5.0, None, "buyers['b2'].utility: expected an integer"),
+    ("surplus", 4.0, None, "buyers['b2'].surplus: expected an integer"),
+    ("surplus", [], None, "buyers['b2'].surplus: expected an integer"),
+    (
+        "final_price",
+        "5.0",
+        None,
+        "buyers['b2'].final_price: not a rational literal: '5.0'",
+    ),
+    ("final_price", 5, None, "buyers['b2'].final_price: not a rational literal: 5"),
+    (
+        "final_price",
+        ["5"],
+        None,
+        "buyers['b2'].final_price: not a rational literal: ['5']",
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "field, value, accepted, message",
+    [
+        pytest.param(*fault, id=f"{fault[0]}={fault[1]!r}")
+        for fault in _REPEATED_RECORD_FAULTS
+    ],
+)
+def test_a_repeated_record_with_one_bad_field_is_rejected(
+    field, value, accepted, message, tmp_path, capsys
+):
+    from gbb.cli import main
+
+    doc = _golden("fix_e2.solve.json")
+    buyers = doc["buyers"]
+    assert buyers["b2"] == buyers["b1"]
+    if accepted is not None:
+        buyers["b1"][field] = buyers["b2"][field] = accepted
+    buyers["b2"][field] = value
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", data_path("fix_e2.json"), str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "name", [f"{n}.{kind}.json" for n in GOLDEN_NAMES for kind in ("solve", "oracle")]
 )

@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+from collections import Counter
 from dataclasses import fields
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +17,7 @@ from gbb.cli import main  # noqa: E402
 from gbb.flow import Edge, FlowNetwork, max_flow, min_cost_max_flow  # noqa: E402
 from gbb.generate import generate_instance  # noqa: E402
 from gbb.model import (  # noqa: E402
+    Allocation,
     Buyer,
     DiscountTier,
     GroupPartition,
@@ -22,7 +25,10 @@ from gbb.model import (  # noqa: E402
     Market,
     NULL_VENDOR,
     Vendor,
+    best_alternative,
+    cell_prices,
     group_partition,
+    market_prices,
 )
 from gbb.documents import instance_to_dict, to_canonical_json  # noqa: E402
 from gbb.swm import (  # noqa: E402
@@ -33,19 +39,23 @@ from gbb.swm import (  # noqa: E402
     solve_swm,
 )
 from gbb.transfers import (  # noqa: E402
+    TransferMatrix,
+    Unstabilizable,
     fair_buyer_transfers,
+    greedy_match,
     prices_from_transfers,
     solve_group_transfers,
 )
 from gbb.verify import certify  # noqa: E402
 
-from tests.conftest import data_path  # noqa: E402
+from tests.conftest import data_path, make_fix_e2  # noqa: E402
 from tests.test_model import (  # noqa: E402
     reference_buyer_market_price,
     reference_surplus,
     reference_utility,
 )
 from tests.test_swm import assert_assignment_fits, enumerate_partitions  # noqa: E402
+from tests.test_transfers import reference_net_outflows  # noqa: E402
 
 
 @st.composite
@@ -522,3 +532,331 @@ def test_solve_swm_welfare_matches_the_milp_on_drawn_markets():
         assert welfare == milp_welfare(market)
 
     check()
+
+
+# --- the post stage against per-buyer references ------------------------------
+
+
+def _three_class_market(draw):
+    """The post-large shape in miniature: 1-6 buyers of the discounted s1
+    bundle, then up to two more of it and up to three on (s1, s2) who value
+    s2's bundle too, each class copying one of two drawn records."""
+    bundle, mixed, other = ("s1", "s1"), ("s1", "s2"), ("s2", "s2")
+    # (id prefix, choice, most buyers, valued tuples, their value ranges)
+    classes = (
+        ("a", bundle, 6, (bundle,), ((17, 30),)),
+        ("b", bundle, 2, (bundle, other), ((12, 17), (7, 19))),
+        ("c", mixed, 3, (mixed, other), ((8, 14), (7, 14))),
+    )
+    buyers, choice, counts = [], {}, []
+    for prefix, chosen, most, valued, ranges in classes:
+        values = st.tuples(*(st.integers(low, high) for low, high in ranges))
+        records = draw(st.lists(values, min_size=1, max_size=2))
+        counts.append(draw(st.integers(1 if prefix == "a" else 0, most)))
+        for i in range(counts[-1]):
+            b = f"{prefix}{i}"
+            buyers.append(Buyer(b, dict(zip(valued, draw(st.sampled_from(records))))))
+            choice[b] = chosen
+    full = counts[0] + counts[1]
+    vendors = [
+        Vendor("s1", (10, 10), (DiscountTier((full, full), 12),)),
+        Vendor("s2", (3, 3)),
+    ]
+    return Market.build(c=2, vendors=vendors, buyers=buyers), Allocation(choice)
+
+
+@st.composite
+def shared_choice_markets(draw):
+    """A market whose buyers share a few valuation records and choices, and
+    an allocation of it: either the post-large shape in miniature, or the
+    vendors and tiers of a seeded generated market whose 0-9 buyers copy one
+    of at most three records, allocated welfare-maximally or to at most
+    three drawn cells."""
+    if draw(st.booleans()):
+        return _three_class_market(draw)
+    base = generate_instance(
+        buyers=draw(st.integers(0, 9)),
+        vendors=draw(st.integers(1, 2)),
+        items=draw(st.integers(1, 2)),
+        seed=draw(st.integers(0, 10**6)),
+    )
+    cells = base.vendor_tuples
+    real = [cell for cell in cells if any(v != NULL_VENDOR for v in cell)]
+    valued = st.lists(st.sampled_from(real), max_size=3, unique=True)
+    records = [
+        {cell: draw(st.integers(0, 8)) for cell in draw(valued)}
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    buyers = [Buyer(b.id, dict(draw(st.sampled_from(records)))) for b in base.buyers]
+    market = Market.build(c=base.c, vendors=list(base.vendors), buyers=buyers)
+    if draw(st.booleans()):
+        return market, solve_swm(market).allocation
+    pool = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3))
+    choice = {b: draw(st.sampled_from(pool)) for b in market.buyer_ids}
+    return market, Allocation(choice)
+
+
+def reference_market_prices(market, alloc):
+    """Each buyer's choice checked in id order, then the multiset priced."""
+    counts = Counter()
+    for b in market.buyer_ids:
+        if b not in alloc.choice:
+            raise ValueError(f"allocation is missing buyer {b!r}")
+        choice = alloc.choice[b]
+        if len(choice) != market.c:
+            raise ValueError(
+                f"buyer {b!r}: choice arity {len(choice)} != {market.c}"
+            )
+        counts[choice] += 1
+    price = cell_prices(market, counts)
+    return {b: price[alloc.choice[b]] for b in market.buyer_ids}
+
+
+def reference_group_partition(market, alloc):
+    """``best_alternative`` per buyer and a sorted key per negative buyer."""
+    price = reference_market_prices(market, alloc)
+    utility = {
+        b.id: b.valuation(alloc.choice[b.id]) - price[b.id] for b in market.buyers
+    }
+    sigma = {b: u - best_alternative(market, b)[1] for b, u in utility.items()}
+    positive, negative = {}, {}
+    for b, sb in sigma.items():
+        choice = alloc.choice[b]
+        if sb > 0:
+            positive.setdefault(choice[0], []).append(b)
+        elif sb < 0:
+            negative.setdefault(tuple(sorted(set(choice))), []).append(b)
+    positive = {s: tuple(ids) for s, ids in sorted(positive.items())}
+    negative = {x: tuple(ids) for x, ids in sorted(negative.items())}
+    return {
+        "positive_groups": positive,
+        "positive_totals": {s: sum(sigma[b] for b in g) for s, g in positive.items()},
+        "negative_groups": negative,
+        "negative_totals": {x: -sum(sigma[b] for b in g) for x, g in negative.items()},
+        "market_price": price,
+        "utility": utility,
+        "surplus": sigma,
+    }
+
+
+def reference_fair_entries(gp, gt):
+    """One ``Fraction(paid, P·Q)`` per matched pair."""
+    entries = {}
+    for s, x in sorted(gt.entries):
+        amount = gt.entries[(s, x)]
+        p, q = gp.positive_totals[s], gp.negative_totals[x]
+        offers = [(b, amount * gp.surplus[b] * q) for b in gp.positive_groups[s]]
+        requests = [(b, -amount * gp.surplus[b] * p) for b in gp.negative_groups[x]]
+        for pair, paid in greedy_match(offers, requests).items():
+            entries[pair] = Fraction(paid, p * q)
+    return entries
+
+
+def reference_price_entries(market, alloc, matrix):
+    """Market price plus the ``Fraction`` sum of each buyer's transfers."""
+    flows = reference_net_outflows(matrix)
+    return {
+        b: (base, flows.get(b, Fraction(0)), base + flows.get(b, Fraction(0)))
+        for b, base in reference_market_prices(market, alloc).items()
+    }
+
+
+def _as_fields(gp):
+    return {field.name: getattr(gp, field.name) for field in fields(GroupPartition)}
+
+
+def _ordered(value):
+    """``value`` with every dict replaced by its item list, so that two
+    results compare equal only with their keys in the same order."""
+    if isinstance(value, dict):
+        return [(k, _ordered(v)) for k, v in value.items()]
+    return value
+
+
+def _assert_prices_match_the_reference(market, alloc, matrix):
+    prices = prices_from_transfers(market, alloc, matrix)
+    got = {b: (e.market_price, e.delta, e.final) for b, e in prices.entries.items()}
+    assert _ordered(got) == _ordered(reference_price_entries(market, alloc, matrix))
+    assert all(
+        type(e.delta) is Fraction and type(e.final) is Fraction
+        for e in prices.entries.values()
+    )
+
+
+# Equal numerators over different denominators, so that buyers share a
+# market price and an outflow numerator but not the outflow.
+_AMOUNTS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shared_choice_markets(),
+    st.lists(
+        st.tuples(st.integers(0, 20), st.integers(0, 20), st.sampled_from(_AMOUNTS)),
+        max_size=10,
+    ),
+)
+def test_post_stage_matches_per_buyer_references(drawn, payments):
+    market, alloc = drawn
+    assert _ordered(market_prices(market, alloc)) == _ordered(
+        reference_market_prices(market, alloc)
+    )
+    gp = group_partition(market, alloc)
+    expected = reference_group_partition(market, alloc)
+    assert _ordered(_as_fields(gp)) == _ordered(expected)
+
+    ids = market.buyer_ids
+    drawn_matrix = TransferMatrix(
+        entries={
+            (ids[i % len(ids)], ids[j % len(ids)]): amount
+            for i, j, amount in payments
+            if ids and i % len(ids) != j % len(ids)
+        }
+    )
+    _assert_prices_match_the_reference(market, alloc, drawn_matrix)
+
+    try:
+        gt = solve_group_transfers(market, alloc, gp)
+    except Unstabilizable:
+        return
+    matrix = fair_buyer_transfers(market, alloc, gp, gt)
+    assert _ordered(matrix.entries) == _ordered(reference_fair_entries(gp, gt))
+    assert all(type(a) is Fraction for a in matrix.entries.values())
+    _assert_prices_match_the_reference(market, alloc, matrix)
+
+
+_FAULTS = ("missing", "arity", "unknown vendor")
+
+# Two faults in fix_e2 each, where the per-buyer walk picks the message:
+# b1's arity before b2's absence, b2's arity before b1's unknown vendor, and
+# b1's unknown vendor before b2's.
+_TWO_FAULTS = (
+    {"b1": ("s1",), "b3": ("zz", "s1")},
+    {"b1": ("s1", "zz"), "b2": ("s1",), "b3": ("s2", "s2")},
+    {"b1": ("zz", "s1"), "b2": ("s1", "yy"), "b3": ("s2", "s2")},
+)
+
+
+@st.composite
+def invalid_allocations(draw):
+    """A drawn market and allocation with one or two buyers broken: left
+    out, given a choice of the wrong arity, or given a vendor the market
+    does not have."""
+    market, alloc = draw(shared_choice_markets().filter(lambda d: d[0].buyers))
+    choice = dict(alloc.choice)
+    ids = market.buyer_ids
+    broken = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=2, unique=True))
+    for b in broken:
+        fault = draw(st.sampled_from(_FAULTS))
+        if fault == "missing":
+            del choice[b]
+        elif fault == "arity":
+            longer = draw(st.booleans())
+            choice[b] = choice[b] + (NULL_VENDOR,) if longer else choice[b][1:]
+        else:
+            k = draw(st.integers(0, market.c - 1))
+            choice[b] = choice[b][:k] + ("zz",) + choice[b][k + 1 :]
+    return market, Allocation(choice)
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as err:
+        fn(*args)
+    return type(err.value), str(err.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(invalid_allocations())
+@example((make_fix_e2(), Allocation(_TWO_FAULTS[0])))
+@example((make_fix_e2(), Allocation(_TWO_FAULTS[1])))
+@example((make_fix_e2(), Allocation(_TWO_FAULTS[2])))
+def test_invalid_allocations_raise_as_the_per_buyer_walk(drawn):
+    market, alloc = drawn
+    expected = _raised(reference_market_prices, market, alloc)
+    assert expected[0] is ValueError
+    empty = TransferMatrix(entries={})
+    assert _raised(market_prices, market, alloc) == expected
+    assert _raised(group_partition, market, alloc) == expected
+    assert _raised(solve_group_transfers, market, alloc) == expected
+    assert _raised(prices_from_transfers, market, alloc, empty) == expected
+    # A transfer naming a buyer outside the market is reported first.
+    stray = TransferMatrix(entries={("zz", market.buyer_ids[0]): Fraction(1)})
+    assert _raised(prices_from_transfers, market, alloc, stray) == (
+        ValueError,
+        "transfer references unknown buyer 'zz'",
+    )
+
+
+# --- renaming ------------------------------------------------------------------
+
+_NAMES = st.text(alphabet="abnoz09_-", min_size=1, max_size=4)
+
+
+def _order_preserving(draw, ids, names):
+    """A map from the sorted ``ids`` onto as many drawn ``names``, sorted."""
+    new = draw(st.lists(names, min_size=len(ids), max_size=len(ids), unique=True))
+    return dict(zip(sorted(ids), sorted(new)))
+
+
+def _renamed_market(market, vendor, buyer):
+    def cell(choice):
+        return tuple(vendor.get(v, v) for v in choice)
+
+    vendors = [
+        Vendor(vendor[v.id], v.base_prices, v.tiers) for v in market.real_vendors
+    ]
+    buyers = [
+        Buyer(buyer[b.id], {cell(c): x for c, x in b.valuations.items()})
+        for b in market.buyers
+    ]
+    return Market.build(c=market.c, vendors=vendors, buyers=buyers)
+
+
+def _renamed_solution(doc, vendor, buyer):
+    """A solution document with its vendor and buyer ids mapped; the null
+    vendor keeps its id."""
+
+    def ids(choice):
+        return [vendor.get(v, v) for v in choice]
+
+    return {
+        **doc,
+        "allocation": {buyer[b]: ids(c) for b, c in doc["allocation"].items()},
+        "buyers": {buyer[b]: entry for b, entry in doc["buyers"].items()},
+        "group_transfers": [
+            {**t, "vendor": vendor[t["vendor"]], "group": ids(t["group"])}
+            for t in doc["group_transfers"]
+        ],
+        "transfers": [
+            {**t, "payer": buyer[t["payer"]], "payee": buyer[t["payee"]]}
+            for t in doc["transfers"]
+        ],
+    }
+
+
+def _solve_document(market, directory, name):
+    instance = directory / f"{name}.json"
+    solution = directory / f"{name}.solve.json"
+    instance.write_text(to_canonical_json(instance_to_dict(market)), encoding="utf-8")
+    assert _run(["solve", str(instance), "--out", str(solution)]) == (0, "")
+    return solution.read_text(encoding="utf-8")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_order_preserving_renames_give_the_same_solve_document(
+    tmp_path_factory, data
+):
+    # Vendor ids sort against the null vendor's too, so every real vendor
+    # keeps its side of "null": all drawn markets name theirs "s1", "s2", ...
+    market = data.draw(shared_choice_markets())[0]
+    real = [v.id for v in market.real_vendors]
+    assert all(v > NULL_VENDOR for v in real)
+    above_null = _NAMES.filter(lambda n: n > NULL_VENDOR)
+    vendor = _order_preserving(data.draw, real, above_null)
+    buyer = _order_preserving(data.draw, market.buyer_ids, _NAMES)
+    directory = tmp_path_factory.getbasetemp()
+    original = json.loads(_solve_document(market, directory, "original"))
+    market = _renamed_market(market, vendor, buyer)
+    renamed = _solve_document(market, directory, "renamed")
+    assert renamed == to_canonical_json(_renamed_solution(original, vendor, buyer))

@@ -171,6 +171,30 @@ def test_fair_buyer_transfers_rejects_inconsistent_group_transfers(fix_e2):
         fair_buyer_transfers(fix_e2, MU_STAR, two_groups, gt)
 
 
+def test_each_group_transfer_divides_by_its_own_scale(fix_e2):
+    # Both transfers match a scaled amount of 1: over P·Q = 2 in the first
+    # and over 6 in the second, so no quotient carries across transfers.
+    x = ("s1", "s2")
+    gp = GroupPartition(
+        positive_groups={"s1": ("a1", "a2")},
+        positive_totals={"s1": 2},
+        negative_groups={("s1",): ("r1",), x: ("r2", "r3")},
+        negative_totals={("s1",): 1, x: 3},
+        market_price={},
+        utility={},
+        surplus={"a1": 1, "a2": 1, "r1": -1, "r2": -1, "r3": -2},
+    )
+    gt = GroupTransfers({("s1", ("s1",)): 1, ("s1", x): 1})
+    matrix = fair_buyer_transfers(fix_e2, MU_STAR, gp, gt)
+    assert matrix.entries == {
+        ("a1", "r1"): Fraction(1, 2),
+        ("a2", "r1"): Fraction(1, 2),
+        ("a1", "r2"): Fraction(1, 3),
+        ("a1", "r3"): Fraction(1, 6),
+        ("a2", "r3"): Fraction(1, 2),
+    }
+
+
 def reference_fair_buyer_transfers(gp, gt):
     """The earlier split: each payer keeps a residual surplus that every
     round rescales by ``1 - pay_ratio``."""
@@ -244,7 +268,7 @@ def test_fairness_identity_on_corpus():
         matrix = fair_buyer_transfers(market, alloc, gp, gt)
         # payers only pay and receivers only receive
         assert all(gp.surplus[p] > 0 > gp.surplus[q] for p, q in matrix.entries)
-        net = matrix.net_outflows()
+        net = reference_net_outflows(matrix)
         for s, members in gp.positive_groups.items():
             paid = sum(a for (v, _), a in gt.entries.items() if v == s)
             share = Fraction(paid, gp.positive_totals[s])
@@ -297,16 +321,18 @@ def random_matrix(rng, buyers, size):
     return TransferMatrix(entries=entries)
 
 
-def test_net_outflows_match_a_fraction_fold():
+def test_net_outflow_terms_match_a_fraction_fold():
     rng = random.Random(1201)
     both_ways = rescaled = 0
     for trial in range(300):
         buyers = [f"b{i}" for i in range(rng.randint(2, 7))]
         matrix = random_matrix(rng, buyers, rng.randint(1, 16))
-        flows = matrix.net_outflows()
+        terms = matrix.net_outflow_terms()
+        assert all(type(n) is int and type(d) is int for n, d in terms.values())
+        assert all(d > 0 for _, d in terms.values())
+        flows = {b: Fraction(n, d) for b, (n, d) in terms.items()}
         # values and key order (payer before payee, first appearance)
         assert list(flows.items()) == list(reference_net_outflows(matrix).items())
-        assert all(type(v) is Fraction for v in flows.values())
         payers = {p for p, _ in matrix.entries}
         payees = {q for _, q in matrix.entries}
         both_ways += bool(payers & payees)
@@ -340,7 +366,7 @@ def test_price_vector_final_is_market_price_plus_delta():
             for b in market.buyer_ids
         }
         matrix = random_matrix(rng, list(market.buyer_ids), rng.randint(0, 12))
-        flows = matrix.net_outflows()
+        flows = reference_net_outflows(matrix)
         prices = prices_from_transfers(market, alloc, matrix)
         assert list(prices.entries) == list(market.buyer_ids)
         for b, entry in prices.entries.items():

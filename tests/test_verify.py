@@ -32,6 +32,7 @@ from gbb.verify import (
     surplus_totals,
 )
 from tests.test_model import reference_demand_vectors
+from tests.test_transfers import reference_net_outflows
 
 MU_A = Allocation({"b1": ("s1", "s1"), "b2": ("s1", "s1")})
 MU_STAR = Allocation(
@@ -447,7 +448,7 @@ def fraction_budget_witnesses(prices):
 
 
 def fraction_p_consistent_witnesses(prices, matrix):
-    flows = matrix.net_outflows()
+    flows = reference_net_outflows(matrix)
     unknown = [b for b in flows if b not in prices.entries]
     if unknown:
         return [f"transfer references unknown buyer {unknown[0]}"]
