@@ -18,7 +18,7 @@ from .model import (
     Vendor,
     VendorId,
     VendorTuple,
-    best_alternative,
+    best_alternatives,
     group_partition,
     market_prices,
     validate_market,

@@ -187,14 +187,12 @@ def _ints(value: Any, where: str) -> tuple[int, ...]:
 
 
 def _strs(value: Any, where: str) -> tuple[str, ...]:
-    """A list of nonempty ``str``, checked in one pass; the items are walked
-    one by one only to name a bad one."""
+    """A list of nonempty ``str``, checked in one pass that names the first
+    bad item; a path is formatted only for a rejection."""
     items = _as_list(value, where)
-    for item in items:
+    for k, item in enumerate(items):
         if item.__class__ is not str or not item:
-            for k, item in enumerate(items):
-                _as_str(item, f"{where}[{k}]")
-            break
+            _as_str(item, f"{where}[{k}]")
     return tuple(items)
 
 

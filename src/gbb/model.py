@@ -110,16 +110,6 @@ class Market:
             raise ValueError(f"unknown vendor id {vendor_id!r}") from None
 
     @cached_property
-    def _buyer_index(self) -> dict[BuyerId, Buyer]:
-        return {b.id: b for b in self.buyers}
-
-    def buyer(self, buyer_id: BuyerId) -> Buyer:
-        try:
-            return self._buyer_index[buyer_id]
-        except KeyError:
-            raise ValueError(f"unknown buyer id {buyer_id!r}") from None
-
-    @cached_property
     def buyer_ids(self) -> tuple[BuyerId, ...]:
         return tuple(b.id for b in self.buyers)
 
@@ -281,18 +271,6 @@ def _validate_tiers(c: int, vendor: Vendor) -> list[str]:
     return problems
 
 
-def _choice_of(market: Market, alloc: Allocation, buyer_id: BuyerId) -> VendorTuple:
-    try:
-        choice = alloc.choice[buyer_id]
-    except KeyError:
-        raise ValueError(f"allocation is missing buyer {buyer_id!r}") from None
-    if len(choice) != market.c:
-        raise ValueError(
-            f"buyer {buyer_id!r}: choice arity {len(choice)} != {market.c}"
-        )
-    return choice
-
-
 def triggered_tiers(
     market: Market, demand: Mapping[VendorId, Sequence[int]]
 ) -> dict[VendorId, int]:
@@ -351,22 +329,20 @@ def _priced_choices(
     """Each buyer's choice in ``market.buyer_ids`` order, and the market
     price of each distinct choice.
 
-    The choices are counted before they are checked, so a valid allocation
-    checks each distinct choice once.  When a buyer is missing or a choice
-    has the wrong arity, the buyers are walked in id order and the first bad
-    one raises; an unknown vendor then raises in ``cell_prices``.
+    The first buyer in id order that is missing or whose choice has the
+    wrong arity raises; an unknown vendor then raises in ``cell_prices``.
     """
-    ids = market.buyer_ids
-    try:
-        chosen = [alloc.choice[b] for b in ids]
-        counts = Counter(chosen)
-        valid = all(len(choice) == market.c for choice in counts)
-    except (KeyError, TypeError):
-        valid = False
-    if not valid:
-        chosen = [_choice_of(market, alloc, b) for b in ids]
-        counts = Counter(chosen)
-    return chosen, cell_prices(market, counts)
+    c = market.c
+    chosen = []
+    for b in market.buyer_ids:
+        try:
+            choice = alloc.choice[b]
+        except KeyError:
+            raise ValueError(f"allocation is missing buyer {b!r}") from None
+        if len(choice) != c:
+            raise ValueError(f"buyer {b!r}: choice arity {len(choice)} != {c}")
+        chosen.append(choice)
+    return chosen, cell_prices(market, Counter(chosen))
 
 
 def market_prices(market: Market, alloc: Allocation) -> dict[BuyerId, Money]:
@@ -376,40 +352,38 @@ def market_prices(market: Market, alloc: Allocation) -> dict[BuyerId, Money]:
     return dict(zip(market.buyer_ids, map(price.__getitem__, chosen)))
 
 
-def best_alternative(
-    market: Market,
-    buyer_id: BuyerId,
-    bases: dict[VendorTuple, Money | None] | None = None,
-) -> tuple[VendorTuple, Money]:
-    """Best utility achievable at base prices over every vendor tuple.
+def best_alternatives(market: Market) -> dict[BuyerId, tuple[VendorTuple, Money]]:
+    """Each buyer's best utility at base prices over every vendor tuple, with
+    the tuple that gives it.
 
-    Ties go to the lexicographically smallest tuple.  Only the buyer's
+    Ties go to the lexicographically smallest tuple.  Only each buyer's
     valued tuples are scanned: any other tuple is worth at most 0 at base
     prices, and exactly 0 when all its vendors charge 0 for their item, so
-    the smallest such tuple (all-null at worst) is the best one left.
-    ``bases`` maps tuples to their ``Market.base_price``; a caller scanning
-    many buyers passes one table, which this fills, so each valued tuple is
-    priced once per call.
+    the smallest such tuple (all-null at worst) is the best one left.  Each
+    valued tuple is priced once per call.
     """
-    if bases is None:
-        bases = {}
-    best_choice, best_value = None, 0
-    for choice, value in market.buyer(buyer_id).valuations.items():
-        try:
-            base = bases[choice]
-        except KeyError:
-            base = bases[choice] = market.base_price(choice)
-        if base is None:
-            continue
-        value -= base
-        if value > best_value or (
-            value == best_value and (best_choice is None or choice < best_choice)
-        ):
-            best_choice, best_value = choice, value
-    free = market._free_tuple
-    if best_value == 0 and (best_choice is None or free < best_choice):
-        best_choice = free
-    return best_choice, best_value
+    bases: dict[VendorTuple, Money | None] = {}
+    best: dict[BuyerId, tuple[VendorTuple, Money]] = {}
+    for buyer in market.buyers:
+        best_choice, best_value = None, 0
+        for choice, value in buyer.valuations.items():
+            try:
+                base = bases[choice]
+            except KeyError:
+                base = bases[choice] = market.base_price(choice)
+            if base is None:
+                continue
+            value -= base
+            if value > best_value or (
+                value == best_value and (best_choice is None or choice < best_choice)
+            ):
+                best_choice, best_value = choice, value
+        if best_value == 0:
+            free = market._free_tuple
+            if best_choice is None or free < best_choice:
+                best_choice = free
+        best[buyer.id] = best_choice, best_value
+    return best
 
 
 def all_surpluses(market: Market, alloc: Allocation) -> dict[BuyerId, Money]:
@@ -428,7 +402,7 @@ def group_partition(market: Market, alloc: Allocation) -> GroupPartition:
     built once per distinct choice, and base prices once per valued tuple.
     """
     chosen, price_of = _priced_choices(market, alloc)
-    bases: dict[VendorTuple, Money | None] = {}
+    alternative = best_alternatives(market)
     group_of: dict[VendorTuple, VendorTuple] = {}
     price: dict[BuyerId, Money] = {}
     utility: dict[BuyerId, Money] = {}
@@ -439,7 +413,7 @@ def group_partition(market: Market, alloc: Allocation) -> GroupPartition:
         b = buyer.id
         price[b] = p = price_of[choice]
         utility[b] = u = buyer.valuations.get(choice, 0) - p
-        sigma[b] = sb = u - best_alternative(market, b, bases)[1]
+        sigma[b] = sb = u - alternative[b][1]
         if sb > 0:
             positive.setdefault(choice[0], []).append(b)
         elif sb < 0:

@@ -295,6 +295,31 @@ def test_solve_unstabilizable_exit(capsys, fix_e1_path, monkeypatch):
     assert "cannot stabilize" in err
 
 
+def test_solve_exits_1_and_still_writes_the_document_when_a_check_fails(
+    capsys, fix_e1_path, tmp_path, monkeypatch
+):
+    import gbb.cli as cli
+    from gbb.verify import CertificateReport, CheckResult
+
+    failing = CertificateReport({"stable": CheckResult(False, ("forced",))})
+    monkeypatch.setattr(cli, "certify", lambda *args, **kwargs: failing)
+    out = tmp_path / "out.json"
+    code, stdout, err = run(capsys, ["solve", fix_e1_path, "--out", str(out)])
+    assert (code, stdout, err) == (1, "", "error: certificate checks failed\n")
+    assert json.loads(out.read_text())["certificate"] == {
+        "all_passed": False,
+        "checks": {"stable": {"passed": False, "witnesses": ["forced"]}},
+    }
+
+
+def test_a_missing_document_exits_2(capsys, fix_e1_path, tmp_path):
+    missing = str(tmp_path / "absent.json")
+    for argv in (["solve", missing], ["verify", fix_e1_path, missing]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: cannot read {missing}: "), argv
+
+
 def test_solve_no_certify(capsys, fix_e1_path):
     code, out, _ = run(capsys, ["solve", fix_e1_path, "--no-certify"])
     assert code == 0

@@ -16,7 +16,7 @@ from gbb.model import (
     NULL_VENDOR,
     Vendor,
     all_surpluses,
-    best_alternative,
+    best_alternatives,
     cell_prices,
     group_partition,
     market_price_of_choice,
@@ -113,6 +113,23 @@ def test_validate_rejects_threshold_regressions():
     )
     text = "\n".join(validate_market(market).violations)
     assert "componentwise" in text
+
+
+def test_validate_null_vendor_prices_and_tiers_and_negative_thresholds():
+    market = Market.build(
+        c=2,
+        vendors=[
+            Vendor(NULL_VENDOR, (0, 1), (DiscountTier((1, 1), 0),)),
+            Vendor("s1", (5, 5), (DiscountTier((-1, 3), 8),)),
+        ],
+        buyers=[],
+    )
+    assert validate_market(market).violations == (
+        "null vendor must have all-zero base prices",
+        "null vendor must not offer discounts",
+        "vendor 's1' tier 1: negative threshold",
+        "vendor 's1' tier 1: thresholds not componentwise nondecreasing",
+    )
 
 
 def test_demand_vectors(fix_e1, fix_e2):
@@ -257,8 +274,10 @@ def test_utility_and_social_welfare(fix_e1, fix_e2):
 
 
 def test_best_alternative(fix_e1):
-    assert best_alternative(fix_e1, "b1") == (("s1", "s1"), 2)
-    assert best_alternative(fix_e1, "b2") == (("s2", "s2"), 2)
+    assert best_alternatives(fix_e1) == {
+        "b1": (("s1", "s1"), 2),
+        "b2": (("s2", "s2"), 2),
+    }
 
 
 def test_best_alternative_null_floor():
@@ -267,7 +286,7 @@ def test_best_alternative_null_floor():
         vendors=[Vendor("s1", (5, 5))],
         buyers=[Buyer("b1", {("s1", "s1"): 3})],
     )
-    choice, value = best_alternative(market, "b1")
+    choice, value = best_alternatives(market)["b1"]
     assert value == 0
     assert choice == (NULL_VENDOR, NULL_VENDOR)
 
@@ -278,7 +297,7 @@ def test_best_alternative_ties_go_to_the_smallest_tuple():
         vendors=[Vendor("s2", (3, 3)), Vendor("s1", (5, 5))],
         buyers=[Buyer("b1", {("s2", "s2"): 8, ("s1", "s1"): 12})],
     )
-    assert best_alternative(market, "b1") == (("s1", "s1"), 2)
+    assert best_alternatives(market) == {"b1": (("s1", "s1"), 2)}
 
 
 def test_surplus(fix_e1, fix_e2):
@@ -408,7 +427,7 @@ def reference_buyer_market_price(market, alloc, buyer_id):
 
 
 def reference_utility(market, alloc, buyer_id):
-    buyer = market.buyer(buyer_id)
+    (buyer,) = [b for b in market.buyers if b.id == buyer_id]
     choice = alloc.choice[buyer_id]
     return buyer.valuation(choice) - reference_buyer_market_price(
         market, alloc, buyer_id
@@ -416,7 +435,7 @@ def reference_utility(market, alloc, buyer_id):
 
 
 def reference_surplus(market, alloc, buyer_id):
-    return reference_utility(market, alloc, buyer_id) - best_alternative(
+    return reference_utility(market, alloc, buyer_id) - full_scan_best_alternative(
         market, buyer_id
     )[1]
 
@@ -527,7 +546,7 @@ def test_group_partition_derives_the_tiers_once(fix_e2, monkeypatch):
 
 def full_scan_best_alternative(market, buyer_id):
     """Reference: every vendor tuple at base prices, the first maximum wins."""
-    buyer = market.buyer(buyer_id)
+    (buyer,) = [b for b in market.buyers if b.id == buyer_id]
     best = None
     for choice in market.vendor_tuples:
         value = buyer.valuation(choice) - market.base_price(choice)
@@ -537,7 +556,7 @@ def full_scan_best_alternative(market, buyer_id):
 
 
 def test_surpluses_take_the_best_alternative_from_valued_tuples():
-    # best_alternative reads each buyer's valued tuples only.  Ids sort on
+    # best_alternatives reads each buyer's valued tuples only.  Ids sort on
     # both sides of "null" and base prices include 0, so unvalued tuples
     # tie the all-null floor and a smaller zero-price tuple can beat it.
     rng = random.Random(4242)
@@ -555,10 +574,9 @@ def test_surpluses_take_the_best_alternative_from_valued_tuples():
             )
         market = Market.build(c=c, vendors=vendors, buyers=buyers)
         assert validate_market(market).ok
-        for b in market.buyer_ids:
-            assert best_alternative(market, b) == full_scan_best_alternative(
-                market, b
-            ), trial
+        assert best_alternatives(market) == {
+            b: full_scan_best_alternative(market, b) for b in market.buyer_ids
+        }, trial
         alloc = _random_allocation(rng, market)
         u = group_partition(market, alloc).utility
         assert all_surpluses(market, alloc) == {
@@ -589,8 +607,11 @@ def test_best_alternative_builds_no_vendor_tuple(monkeypatch):
             Buyer("b4", {bundle: 10}),
         ],
     )
-    assert best_alternative(market, "b1") == (bundle, 100 - c)
-    for b in ("b2", "b3", "b4"):
-        assert best_alternative(market, b) == (free, 0)
+    assert best_alternatives(market) == {
+        "b1": (bundle, 100 - c),
+        "b2": (free, 0),
+        "b3": (free, 0),
+        "b4": (free, 0),
+    }
     alloc = Allocation({"b1": free, "b2": free, "b3": bundle, "b4": free})
     assert all_surpluses(market, alloc) == {"b1": -36, "b2": 0, "b3": 0, "b4": 0}

@@ -25,7 +25,7 @@ from gbb.model import (  # noqa: E402
     Market,
     NULL_VENDOR,
     Vendor,
-    best_alternative,
+    best_alternatives,
     cell_prices,
     group_partition,
     market_prices,
@@ -49,6 +49,10 @@ from gbb.transfers import (  # noqa: E402
 from gbb.verify import certify  # noqa: E402
 
 from tests.conftest import data_path, make_fix_e2  # noqa: E402
+from tests.test_existence import (  # noqa: E402
+    certification_failure,
+    welfare_maximal_allocations,
+)
 from tests.test_model import (  # noqa: E402
     reference_buyer_market_price,
     reference_surplus,
@@ -212,6 +216,14 @@ def test_post_stage_certifies_every_welfare_maximal_solution(market):
         expected = {b: reference(market, alloc, b) for b in market.buyer_ids}
         assert getattr(gp, field) == expected, field
     assert sum(gp.utility.values()) == result.social_welfare
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_markets())
+def test_every_welfare_maximal_allocation_certifies(market):
+    # Only the theorem's direction: a suboptimal allocation may certify too.
+    for alloc in welfare_maximal_allocations(market):
+        assert certification_failure(market, alloc) is None, alloc.choice
 
 
 def _scaled(market, k):
@@ -613,12 +625,13 @@ def reference_market_prices(market, alloc):
 
 
 def reference_group_partition(market, alloc):
-    """``best_alternative`` per buyer and a sorted key per negative buyer."""
+    """``best_alternatives`` once and a sorted key per negative buyer."""
     price = reference_market_prices(market, alloc)
     utility = {
         b.id: b.valuation(alloc.choice[b.id]) - price[b.id] for b in market.buyers
     }
-    sigma = {b: u - best_alternative(market, b)[1] for b, u in utility.items()}
+    best = best_alternatives(market)
+    sigma = {b: u - best[b][1] for b, u in utility.items()}
     positive, negative = {}, {}
     for b, sb in sigma.items():
         choice = alloc.choice[b]

@@ -116,6 +116,20 @@ def test_greedy_match_entry_bound():
             assert amount > 0
 
 
+def test_greedy_match_rejects_negative_amounts_and_skips_zero_offers():
+    for offers, requests in (
+        ([("a", -1), ("b", 1)], [("x", 0)]),
+        ([("a", 1)], [("x", 2), ("y", -1)]),
+    ):
+        with pytest.raises(ValueError, match="^amounts must be nonnegative$"):
+            greedy_match(offers, requests)
+    offers = [("a", 0), ("b", 2), ("c", 0), ("d", 1)]
+    assert list(greedy_match(offers, [("x", 3)]).items()) == [
+        (("b", "x"), 2),
+        (("d", "x"), 1),
+    ]
+
+
 def test_greedy_match_sum_mismatch():
     with pytest.raises(SumMismatch):
         greedy_match([("a", 3)], [("x", 4)])

@@ -6,6 +6,7 @@ from fractions import Fraction
 from gbb.generate import generate_instance
 from gbb.model import (
     Allocation,
+    GroupPartition,
     all_surpluses,
     group_partition,
     market_prices,
@@ -108,6 +109,24 @@ def test_check_rational_rejects_premium_without_beneficiary(fix_e1):
     reverse = prices_with_deltas(market, lonely, {"b2": 1, "b1": -1})
     result = check_rational_prices(gp, reverse)
     assert not result.passed
+
+
+def test_check_rational_names_a_premium_without_a_discounted_bundle():
+    # A hand-built partition: b1's surplus is positive, yet she is in no
+    # positive group, which ``group_partition`` never produces.
+    gp = GroupPartition(
+        positive_groups={},
+        positive_totals={},
+        negative_groups={},
+        negative_totals={},
+        market_price={"b1": 4},
+        utility={"b1": 3},
+        surplus={"b1": 3},
+    )
+    prices = PriceVector({"b1": PriceEntry(4, Fraction(1), Fraction(5))})
+    assert check_rational_prices(gp, prices).witnesses == (
+        "buyer b1: pays premium 1 without a discounted bundle",
+    )
 
 
 def test_check_fair(fix_e2):
