@@ -112,7 +112,7 @@ def test_check_rational_rejects_premium_without_beneficiary(fix_e1):
 
 
 def test_check_rational_names_a_premium_without_a_discounted_bundle():
-    # A hand-built partition: b1's surplus is positive, yet she is in no
+    # A hand-built partition: b1's surplus is positive, yet it is in no
     # positive group, which ``group_partition`` never produces.
     gp = GroupPartition(
         positive_groups={},
