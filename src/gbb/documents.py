@@ -73,16 +73,38 @@ def to_canonical_json(data: Any) -> str:
     ``indent`` makes ``json.dumps`` run the pure-Python encoder, whose
     closures leave a reference cycle behind on every call; this emitter
     makes no closures and quotes strings with the C quoting routine.
+
+    A flat container, an exact ``dict``, ``list`` or ``tuple`` whose
+    children are all exact ``str`` or ``int``, is rendered with one join.
+    Its text is kept for this call under its ``id``, with the indentation
+    it was rendered at, and reused wherever the same container recurs at
+    that indentation.  The memo holds each container it keys, so no ``id``
+    is reused while it lives, and exact strings and integers cannot change,
+    so a kept text stays the container's text.
     """
     parts: list[str] = []
-    _emit_json(data, "\n", parts, json.encoder.encode_basestring_ascii)
+    _emit_json(data, "\n", parts, json.encoder.encode_basestring_ascii, {})
     parts.append("\n")
     return "".join(parts)
 
 
-def _emit_json(value: Any, newline: str, parts: list[str], quote: Any) -> None:
+def _emit_json(
+    value: Any, newline: str, parts: list[str], quote: Any, memo: dict
+) -> None:
     """Append ``value``'s text to ``parts``; ``newline`` is the line break
-    and indentation of the line it starts on."""
+    and indentation of the line it starts on.  ``memo`` maps the ``id`` of
+    each flat container rendered so far to ``(container, newline, text)``."""
+    cls = value.__class__
+    if cls is dict or cls is list or cls is tuple:
+        done = memo.get(id(value))
+        if done is not None and done[1] == newline:
+            parts.append(done[2])
+            return
+        text = _flat_text(value, newline, quote)
+        if text is not None:
+            parts.append(text)
+            memo[id(value)] = (value, newline, text)
+            return
     if isinstance(value, str):
         parts.append(quote(value))
     elif value is None:
@@ -105,7 +127,7 @@ def _emit_json(value: Any, newline: str, parts: list[str], quote: Any) -> None:
         separator = "[" + inner
         for item in value:
             parts.append(separator)
-            _emit_json(item, inner, parts, quote)
+            _emit_json(item, inner, parts, quote, memo)
             separator = "," + inner
         parts.append(newline + "]")
     elif isinstance(value, dict):
@@ -116,13 +138,43 @@ def _emit_json(value: Any, newline: str, parts: list[str], quote: Any) -> None:
         separator = "{" + inner
         for key, item in sorted(value.items()):
             parts.append(separator + quote(key) + ": ")
-            _emit_json(item, inner, parts, quote)
+            _emit_json(item, inner, parts, quote, memo)
             separator = "," + inner
         parts.append(newline + "}")
     else:
         raise TypeError(
             f"Object of type {type(value).__name__} is not JSON serializable"
         )
+
+
+def _flat_text(value: dict | list | tuple, newline: str, quote: Any) -> str | None:
+    """The text of ``value``, an exact container, if its children are all
+    exact ``str`` or ``int``; otherwise ``None``."""
+    texts = []
+    if value.__class__ is dict:
+        brackets = "{}"
+        for key, item in sorted(value.items()):
+            cls = item.__class__
+            if cls is str:
+                texts.append(quote(key) + ": " + quote(item))
+            elif cls is int:
+                texts.append(quote(key) + ": " + int.__repr__(item))
+            else:
+                return None
+    else:
+        brackets = "[]"
+        for item in value:
+            cls = item.__class__
+            if cls is str:
+                texts.append(quote(item))
+            elif cls is int:
+                texts.append(int.__repr__(item))
+            else:
+                return None
+    if not texts:
+        return brackets
+    inner = newline + "  "
+    return brackets[0] + inner + ("," + inner).join(texts) + newline + brackets[1]
 
 
 def _located(where: str, exc: DocumentError) -> DocumentError:
@@ -340,33 +392,75 @@ class SolutionBundle:
 
 
 def solution_to_dict(bundle: SolutionBundle) -> dict:
+    """The solution document of ``bundle``, for ``to_canonical_json``.
+
+    Buyers with the same ``PriceEntry`` object, utility and surplus share
+    one record, and buyers with equal choices share one list, so the result
+    is read-only: editing one buyer's record or choice edits others' too.
+    """
+    utilities, surpluses = bundle.utilities, bundle.surpluses
+    # Each table lives for this call.  Entries and rationals are keyed by
+    # ``id``, because ``Fraction.__hash__`` is slow and the bundle holds
+    # every entry and rational alive until the call returns.  A record is
+    # shared only when its utility and surplus are exact ``int``s, so
+    # ``True`` or ``1.0`` never takes the place of ``1``.
+    texts: dict[int, str] = {}
+    records: dict[tuple[int, int, int], dict] = {}
     buyers = {}
     for bid, entry in bundle.prices.entries.items():
-        buyers[bid] = {
-            "market_price": entry.market_price,
-            "delta": rational_to_str(entry.delta),
-            "final_price": rational_to_str(entry.final),
-            "utility": bundle.utilities[bid],
-            "surplus": bundle.surpluses[bid],
-        }
+        utility, surplus = utilities[bid], surpluses[bid]
+        key = (id(entry), utility, surplus)
+        exact = utility.__class__ is int and surplus.__class__ is int
+        record = records.get(key) if exact else None
+        if record is None:
+            record = {
+                "market_price": entry.market_price,
+                "delta": _rational_text(entry.delta, texts),
+                "final_price": _rational_text(entry.final, texts),
+                "utility": utility,
+                "surplus": surplus,
+            }
+            if exact:
+                records[key] = record
+        buyers[bid] = record
+    lists: dict[tuple, list] = {}
+    allocation = {}
+    for bid, choice in bundle.allocation.choice.items():
+        chosen = lists.get(choice)
+        if chosen is None:
+            chosen = lists[choice] = list(choice)
+        allocation[bid] = chosen
+    amounts = bundle.matrix.entries
     return {
         "schema": SOLUTION_SCHEMA,
         "social_welfare": bundle.social_welfare,
-        "allocation": {
-            bid: list(choice) for bid, choice in bundle.allocation.choice.items()
-        },
+        "allocation": allocation,
         "buyers": buyers,
         "group_transfers": [
             {"vendor": s, "group": list(x), "amount": amount}
             for (s, x), amount in sorted(bundle.group_transfers.entries.items())
         ],
         "transfers": [
-            {"payer": payer, "payee": payee, "amount": rational_to_str(amount)}
-            for (payer, payee), amount in sorted(bundle.matrix.entries.items())
+            {
+                "payer": payer,
+                "payee": payee,
+                "amount": _rational_text(amounts[payer, payee], texts),
+            }
+            for payer, payee in sorted(amounts)
         ],
         "certificate": bundle.certificate,
         "metadata": bundle.metadata,
     }
+
+
+def _rational_text(value: Fraction | int, texts: dict[int, str]) -> str:
+    """``rational_to_str(value)`` through ``texts``, the text of each value
+    already formatted in this call by ``id``; the caller holds each such
+    value alive, so no id is reused."""
+    text = texts.get(id(value))
+    if text is None:
+        text = texts[id(value)] = rational_to_str(value)
+    return text
 
 
 def solution_from_dict(data: Any) -> SolutionBundle:

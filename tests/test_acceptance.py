@@ -19,6 +19,12 @@ from fractions import Fraction
 import pytest
 
 from gbb.cli import main
+from gbb.documents import (
+    SolutionBundle,
+    load_solution,
+    solution_to_dict,
+    to_canonical_json,
+)
 from gbb.flow import max_flow, min_cost_max_flow
 from gbb.generate import generate_instance
 from gbb.model import (
@@ -293,6 +299,37 @@ def test_c10_transfer_stage_scales():
         10,
         f"transfer + pricing stages for 500 buyers in {elapsed:.2f}s (< 5s)",
     )
+
+
+def test_c10_2000_buyer_document_round_trips_byte_for_byte(tmp_path):
+    market, alloc = make_large_market(scale=4)
+    gp, gt, matrix, prices = post_stages(market, alloc)
+    checks = certify(market, alloc, prices, gt, matrix, gp=gp)
+    bundle = SolutionBundle(
+        social_welfare=sum(gp.utility.values()),
+        allocation=alloc,
+        prices=prices,
+        utilities=gp.utility,
+        surpluses=gp.surplus,
+        group_transfers=gt,
+        matrix=matrix,
+        certificate=checks.to_jsonable(),
+        metadata={"solver": "fixed-allocation"},
+    )
+    doc = solution_to_dict(bundle)
+    text = to_canonical_json(doc)
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # The reader shares records and rationals differently from the solve
+    # side, so writing what it read covers a second sharing pattern.
+    path = tmp_path / "large.solve.json"
+    path.write_text(text, encoding="utf-8")
+    assert to_canonical_json(solution_to_dict(load_solution(str(path)))) == text
+    # Buyers with one price entry, utility and surplus share one record.
+    records = doc["buyers"].values()
+    fields = ("market_price", "delta", "final_price", "utility", "surplus")
+    distinct = {tuple(record[field] for field in fields) for record in records}
+    assert len({id(record) for record in records}) == len(distinct)
+    report(10, f"2 000-buyer document, {len(distinct)} distinct buyer records")
 
 
 def test_c10_post_stages_and_certify_scale_to_20000_buyers():

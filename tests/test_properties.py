@@ -485,6 +485,14 @@ class _Count(int):
     """An ``int`` subclass: ``json`` writes it with ``int.__repr__``."""
 
 
+def _containers(children, max_size):
+    return (
+        st.lists(children, max_size=max_size)
+        | st.lists(children, max_size=max_size).map(tuple)
+        | st.dictionaries(st.text(), children, max_size=max_size)
+    )
+
+
 canonical_values = st.recursive(
     st.none()
     | st.booleans()
@@ -492,18 +500,41 @@ canonical_values = st.recursive(
     | st.integers().map(_Count)
     | st.floats()
     | st.text(),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(st.text(), inner, max_size=4),
+    lambda inner: _containers(inner, 4),
     max_leaves=20,
 )
 
 
+@st.composite
+def shared_containers(draw):
+    """A JSON value in which one drawn container, often flat (only exact
+    ``str`` and ``int`` children), recurs at several positions and depths:
+    inside lists, inside tuples and as dict values."""
+    flat = _containers(st.text() | st.integers(), 3)
+    shared = draw(flat | _containers(canonical_values, 3))
+    return draw(
+        st.recursive(
+            st.just(shared) | canonical_values,
+            lambda inner: _containers(inner, 4),
+            max_leaves=12,
+        )
+    )
+
+
+# Containers that the examples below place at more than one position.
+_FLAT_LIST = ["s1", 7, "\u00e9"]
+_FLAT_DICT = {"b": "x", "a": -2}
+_EMPTY_LIST: list = []
+_EMPTY_DICT: dict = {}
+_FLAT_TUPLE = ("s2", 3)
+
+
 # Explicit examples run on every run, whatever Hypothesis draws: non-ASCII,
 # escaped and lone-surrogate strings (also as keys), big ints, non-finite
-# and extreme floats, bools, ``None`` and empty containers.
+# and extreme floats, bools, ``None`` and empty containers, and containers
+# that recur within one value.
 @settings(max_examples=500, deadline=None)
-@given(canonical_values)
+@given(canonical_values | shared_containers())
 @example("h\u00e9 \u4e2d \U0001f600")
 @example("\"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\ud800")
 @example({"\u00e9": 1, "\n": 2, "": 3, "a": {"\ud83d": [None]}})
@@ -513,6 +544,15 @@ canonical_values = st.recursive(
 @example([[], {}, (), [[]], {"k": {}}, ([],)])
 @example([])
 @example({})
+# the same flat list at two depths
+@example({"a": _FLAT_LIST, "b": [_FLAT_LIST, (_FLAT_LIST,)]})
+# the same dict twice in one list
+@example([_FLAT_DICT, _FLAT_DICT, {"k": _FLAT_DICT}])
+# shared empty containers
+@example([_EMPTY_LIST, {"k": _EMPTY_LIST}, (_EMPTY_LIST, _EMPTY_DICT), _EMPTY_DICT])
+# one flat tuple as a dict value, in a list beside values that are not
+# str or int, and at one depth under two different parents
+@example({"a": _FLAT_TUPLE, "b": [None, 1.5, _FLAT_TUPLE], "c": [_FLAT_TUPLE]})
 def test_canonical_json_is_json_dumps_with_indent_and_sorted_keys(value):
     expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
     assert to_canonical_json(value) == expected
